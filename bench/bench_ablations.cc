@@ -4,14 +4,16 @@
 //   2. KMV-sized vs rows-sized device hash table (section 4's motivation)
 //   3. moderator kernel choice vs each fixed kernel across query shapes
 //   4. hybrid sort vs CPU-only sort across input sizes
+//   5. device hash join vs CPU join (the paper's future work)
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "common/rng.h"
 #include "gpusim/cost_model.h"
+#include "gpusim/sim_device.h"
 #include "groupby/gpu_groupby.h"
 #include "groupby/kernels.h"
+#include "groupby/moderator.h"
 #include "harness/report.h"
 #include "runtime/cpu_groupby.h"
 #include "sort/hybrid_sort.h"
@@ -70,6 +72,25 @@ void AblationTableSizing(const gpusim::CostModel& cost) {
               "initialization cost grows with it.\n");
 }
 
+// Hash-table layout of a one-int64-key group-by with `aggs` SUMs; sizes
+// the shared-memory table the moderator checks kernel 2 against.
+groupby::HashTableLayout SumLayout(int aggs) {
+  columnar::Schema schema;
+  schema.AddField({"k", columnar::DataType::kInt64, false});
+  schema.AddField({"v", columnar::DataType::kInt64, false});
+  columnar::Table table(schema);
+  table.column(0).AppendInt64(0);
+  table.column(1).AppendInt64(0);
+  runtime::GroupBySpec spec;
+  spec.key_columns = {0};
+  for (int a = 0; a < aggs; ++a) {
+    spec.aggregates.push_back(
+        {runtime::AggFn::kSum, 1, "a" + std::to_string(a)});
+  }
+  return groupby::HashTableLayout(runtime::GroupByPlan::Make(table, spec)
+                                      .value());
+}
+
 void AblationKernelChoice(const gpusim::CostModel& cost) {
   harness::PrintExperimentHeader(
       "Ablation 3", "Moderator kernel choice vs fixed kernels");
@@ -77,47 +98,47 @@ void AblationKernelChoice(const gpusim::CostModel& cost) {
                           "K3 rowlock (ms)", "Moderator picks"});
   struct Shape {
     const char* name;
-    gpusim::GroupByKernelParams p;
+    uint64_t rows, groups;
+    int aggs;
+    int record_bytes;  // 0 = SoA input, else fused records
   };
-  std::vector<Shape> shapes;
-  {
+  gpusim::SimDevice device(0, gpusim::DeviceSpec{}, gpusim::HostSpec{}, 2);
+  for (const Shape& s : {
+           Shape{"regular (50k groups, 3 aggs)", 4000000, 50000, 3, 0},
+           Shape{"few groups (12 groups)", 4000000, 12, 3, 0},
+           Shape{"5 aggs (50k groups)", 4000000, 50000, 5, 0},
+           Shape{"many aggregates (8 aggs)", 4000000, 50000, 8, 0},
+           Shape{"low contention (rows/groups=2)", 4000000, 2000000, 3, 0},
+           // Fused-record shapes from the offload benchmark workload.
+           Shape{"offload 200k rows, 3262 groups, 5 aggs", 200000, 3262, 5,
+                 48},
+           Shape{"offload 200k rows, 14873 groups, 5 aggs", 200000, 14873,
+                 5, 48},
+           Shape{"offload 104k rows, 29158 groups, 2 aggs", 104234, 29158,
+                 2, 48}}) {
     gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 50000; p.num_aggregates = 3;
-    shapes.push_back({"regular (50k groups, 3 aggs)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 12; p.num_aggregates = 3;
-    shapes.push_back({"few groups (12 groups)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 50000; p.num_aggregates = 8;
-    shapes.push_back({"many aggregates (8 aggs)", p});
-  }
-  {
-    gpusim::GroupByKernelParams p;
-    p.rows = 4000000; p.groups = 2000000; p.num_aggregates = 3;
-    shapes.push_back({"low contention (rows/groups=2)", p});
-  }
-  for (const Shape& s : shapes) {
-    const SimTime k1 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRegular, s.p);
-    const SimTime k2 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kSharedMem, s.p);
-    const SimTime k3 =
-        cost.GroupByKernelTime(gpusim::GroupByKernelKind::kRowLock, s.p);
-    // The moderator's static rules (section 4.3).
-    const char* pick = "K1";
-    if (s.p.groups <= 256) pick = "K2";
-    else if (s.p.num_aggregates > 5 ||
-             s.p.rows / s.p.groups < 4) pick = "K3";
-    t.AddRow({s.name, harness::FormatMs(k1), harness::FormatMs(k2),
-              harness::FormatMs(k3), pick});
+    p.rows = s.rows;
+    p.groups = s.groups;
+    p.num_aggregates = s.aggs;
+    p.record_bytes = s.record_bytes;
+    auto model = [&](gpusim::GroupByKernelKind kind) {
+      return harness::FormatMs(p.record_bytes > 0
+                                   ? cost.FusedScanAggregateTime(kind, p)
+                                   : cost.GroupByKernelTime(kind, p),
+                               /*decimals=*/3);
+    };
+    const gpusim::GroupByKernelKind pick = groupby::GpuModerator::ChooseKernel(
+        cost, p, SumLayout(s.aggs), device.usable_shared_mem());
+    t.AddRow({s.name, model(gpusim::GroupByKernelKind::kRegular),
+              model(gpusim::GroupByKernelKind::kSharedMem),
+              model(gpusim::GroupByKernelKind::kRowLock),
+              "K" + std::to_string(static_cast<int>(pick))});
   }
   t.Print();
-  std::printf("The moderator's pick should track the fastest column per\n"
-              "row (sections 4.3.1-4.3.3).\n");
+  std::printf("The moderator picks the fastest feasible column per row.\n"
+              "Kernel 2 is feasible only for narrow keys whose groups fill\n"
+              "at most half the shared-memory table; a lower K2 time beside\n"
+              "another pick means the groups do not fit (sections 4.2-4.3).\n");
 }
 
 void AblationHybridSort() {
@@ -174,69 +195,6 @@ void AblationGpuJoin(const gpusim::CostModel& cost) {
       "offload to future work (section 6).\n");
 }
 
-void AblationKernelRacing() {
-  harness::PrintExperimentHeader(
-      "Ablation 6",
-      "Concurrent kernel racing (section 4.2) vs single-kernel runs");
-  gpusim::HostSpec host;
-  gpusim::DeviceSpec spec;
-  gpusim::SimDevice device(0, spec, host, 2);
-  gpusim::PinnedHostPool pinned(256ULL << 20);
-  runtime::ThreadPool pool(2);
-
-  harness::ReportTable t({"Query shape", "Moderator pick (ms)",
-                          "Raced winner (ms)", "Racing helped"});
-  struct Shape {
-    const char* name;
-    uint64_t rows, groups;
-    int aggs;
-  };
-  for (const Shape& shape : {Shape{"regular 5k groups", 200000, 5000, 3},
-                             Shape{"borderline rows/groups=5", 200000,
-                                   40000, 3},
-                             Shape{"many groups", 200000, 150000, 2}}) {
-    columnar::Schema schema;
-    schema.AddField({"k", columnar::DataType::kInt64, false});
-    schema.AddField({"v", columnar::DataType::kInt64, false});
-    auto table = std::make_shared<columnar::Table>(schema);
-    Rng rng(shape.rows);
-    for (uint64_t i = 0; i < shape.rows; ++i) {
-      table->column(0).AppendInt64(
-          static_cast<int64_t>(rng.Below(shape.groups)));
-      table->column(1).AppendInt64(rng.Range(0, 9));
-    }
-    runtime::GroupBySpec spec2;
-    spec2.key_columns = {0};
-    for (int a = 0; a < shape.aggs; ++a) {
-      spec2.aggregates.push_back(
-          {runtime::AggFn::kSum, 1, "a" + std::to_string(a)});
-    }
-    auto plan = runtime::GroupByPlan::Make(*table, spec2);
-    if (!plan.ok()) continue;
-
-    groupby::GpuModerator single_mod, racing_mod;
-    groupby::GpuGroupByStats single_stats, raced_stats;
-    groupby::GpuGroupByOptions racing;
-    racing.enable_racing = true;
-    auto s1 = groupby::GpuGroupBy::Execute(plan.value(), &device, &pinned,
-                                           &pool, &single_mod, nullptr, {},
-                                           &single_stats);
-    auto s2 = groupby::GpuGroupBy::Execute(plan.value(), &device, &pinned,
-                                           &pool, &racing_mod, nullptr,
-                                           racing, &raced_stats);
-    if (!s1.ok() || !s2.ok()) continue;
-    t.AddRow({shape.name, harness::FormatMs(single_stats.kernel_time),
-              harness::FormatMs(raced_stats.kernel_time),
-              raced_stats.kernel_time < single_stats.kernel_time ? "yes"
-                                                                 : "no"});
-  }
-  t.Print();
-  std::printf(
-      "Racing runs the top-2 candidate kernels concurrently when device\n"
-      "memory allows and keeps the first finisher; it can only match or\n"
-      "beat the static pick, at the cost of a second hash table.\n");
-}
-
 }  // namespace
 
 int main() {
@@ -248,6 +206,5 @@ int main() {
   AblationKernelChoice(cost);
   AblationHybridSort();
   AblationGpuJoin(cost);
-  AblationKernelRacing();
   return 0;
 }

@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "columnar/table.h"
 #include "common/rng.h"
 #include "gpusim/pinned_pool.h"
@@ -65,8 +67,11 @@ Fixture& GetFixture() {
   return *f;
 }
 
-// Forces a specific kernel through moderator options.
-void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
+// Runs the device group-by on a shape the moderator maps to `expected`;
+// reports an error instead of a timing when it picks another kernel, so
+// each benchmark's name matches the kernel that ran.
+void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs,
+                   gpusim::GroupByKernelKind expected) {
   Fixture& f = GetFixture();
   const uint64_t rows = static_cast<uint64_t>(state.range(0));
   auto table = MakeTable(rows, groups);
@@ -84,19 +89,29 @@ void RunGpuGroupBy(benchmark::State& state, uint64_t groups, int num_aggs) {
       state.SkipWithError(out.status().ToString().c_str());
       return;
     }
+    if (stats.kernel_used != expected) {
+      state.SkipWithError(
+          (std::string("moderator picked ") +
+           gpusim::GroupByKernelKindName(stats.kernel_used))
+              .c_str());
+      return;
+    }
     benchmark::DoNotOptimize(out->num_groups);
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
 }
 
 void BM_GpuGroupBy_Regular(benchmark::State& state) {
-  RunGpuGroupBy(state, /*groups=*/50000, /*num_aggs=*/2);
+  RunGpuGroupBy(state, /*groups=*/50000, /*num_aggs=*/2,
+                gpusim::GroupByKernelKind::kRegular);
 }
 void BM_GpuGroupBy_SharedMem(benchmark::State& state) {
-  RunGpuGroupBy(state, /*groups=*/12, /*num_aggs=*/2);
+  RunGpuGroupBy(state, /*groups=*/12, /*num_aggs=*/2,
+                gpusim::GroupByKernelKind::kSharedMem);
 }
 void BM_GpuGroupBy_RowLock(benchmark::State& state) {
-  RunGpuGroupBy(state, /*groups=*/50000, /*num_aggs=*/6);
+  RunGpuGroupBy(state, /*groups=*/50000, /*num_aggs=*/6,
+                gpusim::GroupByKernelKind::kRowLock);
 }
 
 void BM_CpuGroupBy(benchmark::State& state) {

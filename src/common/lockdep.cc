@@ -161,12 +161,14 @@ void Record(GlobalState* state, LockdepReport report) {
   state->reports.push_back(std::move(report));
 }
 
+#if BLUSIM_LOCKDEP
 bool EnabledFromEnv() {
   const char* env = std::getenv("BLUSIM_LOCKDEP");
   if (env == nullptr) return true;
   const std::string v(env);
   return !(v == "0" || v == "off" || v == "OFF" || v == "false");
 }
+#endif
 
 }  // namespace
 

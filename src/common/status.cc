@@ -14,7 +14,6 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kAlreadyExists: return "AlreadyExists";
     case StatusCode::kInternal: return "Internal";
     case StatusCode::kNotSupported: return "NotSupported";
-    case StatusCode::kCancelled: return "Cancelled";
     case StatusCode::kEstimateTooLow: return "EstimateTooLow";
     case StatusCode::kOverloaded: return "Overloaded";
   }

@@ -23,7 +23,6 @@ enum class StatusCode : uint8_t {
   kAlreadyExists,
   kInternal,
   kNotSupported,
-  kCancelled,            // kernel raced and lost (section 4.2)
   kEstimateTooLow,       // KMV group estimate below true group count
   kOverloaded,           // admission queue full; the query was shed
 };
@@ -69,9 +68,6 @@ class [[nodiscard]] Status {
   }
   static Status NotSupported(std::string msg) {
     return Status(StatusCode::kNotSupported, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
   }
   static Status EstimateTooLow(std::string msg) {
     return Status(StatusCode::kEstimateTooLow, std::move(msg));

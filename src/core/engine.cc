@@ -141,13 +141,11 @@ Engine::Engine(EngineConfig config)
       devices_(MakeDevices(config)),
       scheduler_(DevicePointers(devices_), &metrics_),
       pinned_(config.pinned_pool_bytes, &metrics_),
-      pool_(config.cpu_threads, &metrics_),
-      moderator_(config.moderator_options) {
+      pool_(config.cpu_threads, &metrics_) {
   for (auto& device : devices_) {
     device->memory().AttachChecker(checker_.get());
   }
   pinned_.AttachChecker(checker_.get());
-  moderator_.AttachMetrics(&metrics_);
 }
 
 Engine::~Engine() {
@@ -619,8 +617,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
                         gpu.device_id);
         trace->AddPhase(std::string("kernel:") + kernel_name,
                         obs::kCatKernel, stats.kernel_time, gpu.device_id,
-                        {{"retries", std::to_string(stats.retries)},
-                         {"raced", stats.raced ? "true" : "false"}});
+                        {{"retries", std::to_string(stats.retries)}});
         trace->AddPhase("transfer-out", obs::kCatTransfer,
                         stats.transfer_out, gpu.device_id,
                         {{"bytes", std::to_string(stats.bytes_out)}});

@@ -64,7 +64,6 @@ struct EngineConfig {
   // chooses (CostModel::ChoosePartitionedCpuFraction), otherwise forced.
   double partitioned_cpu_split = -1.0;
   RouterThresholds thresholds;
-  groupby::ModeratorOptions moderator_options;
   groupby::GpuGroupByOptions groupby_options;
   // Sort jobs below this row count stay on the CPU.
   uint32_t sort_min_gpu_rows = 65536;

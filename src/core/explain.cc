@@ -117,12 +117,10 @@ std::string RenderGroupByChain(const GroupByPlan& plan, ExecutionPath path) {
   os << " -> HASH(" << (plan.wide_key() ? "murmur" : "mod") << ")";
   if (path == ExecutionPath::kGpu || path == ExecutionPath::kPartitioned) {
     os << "+KMV -> MEMCPY(pinned) -> GPU runtime [moderator -> ";
-    // Mirror the moderator's static preference for display.
-    if (plan.needs_locks()) {
-      os << "K3 rowlock";
-    } else {
-      os << "K1 regular | K2 sharedmem | K3 rowlock";
-    }
+    // The kernels the moderator may pick from; it takes the cheapest
+    // modeled one at run time. Wide keys rule out the shared-memory table.
+    os << (plan.wide_key() ? "K1 regular | K3 rowlock"
+                           : "K1 regular | K2 sharedmem | K3 rowlock");
     os << "]";
     if (path == ExecutionPath::kPartitioned) {
       os << " | hash-partition -> CPU lane (LGHT) + device lanes"

@@ -258,7 +258,7 @@ Result<GroupByOutput> GpuGroupBy::Execute(
 Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     const GroupByPlan& plan, SimDevice* device,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-    GpuModerator* moderator, const std::vector<uint32_t>* selection,
+    GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_CHECK(stats != nullptr);
   *stats = GpuGroupByStats{};
@@ -344,40 +344,19 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
                              layout.TableBytes(capacity));
 
     // --- Moderator selects the kernel (section 4.2) ---
-    QueryMetadata metadata;
-    metadata.rows = rows;
-    metadata.estimated_groups = staged.kmv_estimate;
-    metadata.num_aggregates = static_cast<int>(plan.slots().size());
-    metadata.wide_key = plan.wide_key();
-    metadata.lock_typed_payload = false;
-    for (const AggSlot& s : plan.slots()) {
-      if (s.lock_required) metadata.lock_typed_payload = true;
-    }
-
     GroupByKernelParams kp;
     kp.rows = rows;
     kp.groups = std::max<uint64_t>(1, staged.kmv_estimate);
-    kp.num_aggregates = metadata.num_aggregates;
+    kp.num_aggregates = static_cast<int>(plan.slots().size());
     kp.key_bytes = plan.key_bytes();
     kp.payload_bytes = plan.payload_bytes_per_row();
     kp.record_bytes = staged.fused ? staged.record_layout.record_bytes : 0;
     kp.wide_key = plan.wide_key();
-    kp.lock_typed_payload = metadata.lock_typed_payload;
-
-    // Fused runs cost through the fused kernel model and report under the
-    // fused kernel names.
-    auto model_kernel_time = [&](GroupByKernelKind k) {
-      return staged.fused ? cost.FusedScanAggregateTime(k, kp)
-                          : cost.GroupByKernelTime(k, kp);
-    };
-
-    std::vector<GroupByKernelKind> candidates = moderator->CandidateKernels(
-        metadata, layout, device->usable_shared_mem());
-    GroupByKernelKind chosen = options.enable_racing
-                                   ? candidates.front()
-                                   : moderator->ChooseKernel(
-                                         metadata, layout,
-                                         device->usable_shared_mem());
+    for (const AggSlot& s : plan.slots()) {
+      if (s.lock_required) kp.lock_typed_payload = true;
+    }
+    const GroupByKernelKind chosen = GpuModerator::ChooseKernel(
+        cost, kp, layout, device->usable_shared_mem());
 
     std::atomic<uint64_t> overflow{0};
     GroupByKernelArgs args;
@@ -392,64 +371,13 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     args.capacity = capacity;
     args.overflow = &overflow;
 
-    if (options.enable_racing && candidates.size() >= 2) {
-      // Concurrent-kernel racing (section 4.2): if the device can hold a
-      // second hash table, launch the two best candidates and keep the
-      // first finisher, stopping the other. In the simulation both run to
-      // completion (results are identical); the *winner by modeled time*
-      // determines the accounted kernel time, and the loser is recorded as
-      // cancelled at the winner's finish time.
-      const GroupByKernelKind rival = candidates[1];
-      auto rival_reservation =
-          device->memory().Reserve(layout.TableBytes(capacity));
-      if (rival_reservation.ok()) {
-        BLUSIM_ASSIGN_OR_RETURN(
-            DeviceBuffer rival_table,
-            device->memory().Alloc(rival_reservation.value(),
-                                   layout.TableBytes(capacity)));
-        BLUSIM_RETURN_NOT_OK(InitHashTable(device, layout, plan,
-                                           rival_table.data(), capacity));
-        std::atomic<uint64_t> rival_overflow{0};
-        GroupByKernelArgs rival_args = args;
-        rival_args.table = rival_table.data();
-        rival_args.overflow = &rival_overflow;
-
-        const SimTime t_chosen = model_kernel_time(chosen);
-        const SimTime t_rival = model_kernel_time(rival);
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, rival, rival_args));
-        stats->raced = true;
-        if (t_rival < t_chosen) {
-          // Rival won: adopt its table and overflow state.
-          std::memcpy(table.data(), rival_table.data(),
-                      layout.TableBytes(capacity));
-          overflow.store(rival_overflow.load());
-          stats->loser_time = t_rival;  // loser cancelled at winner's time
-          moderator->RecordFeedback(metadata, rival, t_rival);
-          chosen = rival;
-          stats->kernel_time += t_rival;
-        } else {
-          stats->loser_time = t_chosen;
-          moderator->RecordFeedback(metadata, chosen, t_chosen);
-          stats->kernel_time += t_chosen;
-        }
-        device->AccountKernel(KernelName(chosen, staged.fused),
-                              stats->kernel_time);
-      } else {
-        // Not enough memory for a second table: plain single-kernel run.
-        const SimTime t = model_kernel_time(chosen);
-        BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-        stats->kernel_time += t;
-        device->AccountKernel(KernelName(chosen, staged.fused), t);
-        moderator->RecordFeedback(metadata, chosen, t);
-      }
-    } else {
-      const SimTime t = model_kernel_time(chosen);
-      BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
-      stats->kernel_time += t;
-      device->AccountKernel(KernelName(chosen, staged.fused), t);
-      moderator->RecordFeedback(metadata, chosen, t);
-    }
+    // Fused runs cost through the fused kernel model and report under the
+    // fused kernel names.
+    const SimTime t = staged.fused ? cost.FusedScanAggregateTime(chosen, kp)
+                                   : cost.GroupByKernelTime(chosen, kp);
+    BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
+    stats->kernel_time += t;
+    device->AccountKernel(KernelName(chosen, staged.fused), t);
     stats->kernel_used = chosen;
     stats->table_capacity = capacity;
 

@@ -23,7 +23,7 @@ struct GpuGroupByStats {
   SimTime stage_time = 0;      // chain + MEMCPY into pinned memory (host)
   SimTime transfer_in = 0;     // PCIe host -> device
   SimTime table_init = 0;      // parallel mask initialization
-  SimTime kernel_time = 0;     // winning kernel execution
+  SimTime kernel_time = 0;     // moderator-chosen kernel execution
   SimTime transfer_out = 0;    // PCIe device -> host (result readback)
   gpusim::GroupByKernelKind kernel_used =
       gpusim::GroupByKernelKind::kRegular;
@@ -40,8 +40,6 @@ struct GpuGroupByStats {
   // Staged bytes the fused layout avoided shipping for the same survivor
   // set (SoA staging of rows_staged rows minus the fused record stream).
   uint64_t bytes_avoided = 0;
-  bool raced = false;          // multiple kernels were raced
-  SimTime loser_time = 0;      // modeled time of the cancelled kernel
 
   SimTime total() const {
     return stage_time + transfer_in + table_init + kernel_time +
@@ -52,9 +50,6 @@ struct GpuGroupByStats {
 struct GpuGroupByOptions {
   // Maximum table-growth retries when the KMV estimate was too low.
   int max_retries = 3;
-  // Race the top-2 candidate kernels when device memory allows
-  // (section 4.2: stop the others as soon as one finishes).
-  bool enable_racing = false;
   // Data-path fusion: permit staging the input as interleaved records and
   // running the fused scan->aggregate kernels. The per-query decision is
   // cost-based (ChooseStageMode); this only gates eligibility
@@ -73,6 +68,9 @@ struct GpuGroupByOptions {
 //
 // Returns OutOfDeviceMemory / DeviceUnavailable / NotSupported statuses
 // that the hybrid router treats as "fall back to the CPU chain".
+//
+// `moderator` is not read: the kernel choice is the stateless
+// GpuModerator::ChooseKernel. The parameter stays for existing callers.
 class GpuGroupBy {
  public:
   static Result<runtime::GroupByOutput> Execute(

@@ -1,124 +1,36 @@
 #include "groupby/moderator.h"
 
-#include <algorithm>
-
 #include "groupby/kernels.h"
 
 namespace blusim::groupby {
 
 using gpusim::GroupByKernelKind;
 
-namespace {
-
-int Log2Bucket(uint64_t v) {
-  int b = 0;
-  while (v > 1) {
-    v >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-}  // namespace
-
-GpuModerator::Signature GpuModerator::MakeSignature(
-    const QueryMetadata& metadata) {
-  return Signature{Log2Bucket(metadata.rows),
-                   Log2Bucket(std::max<uint64_t>(1, metadata.estimated_groups)),
-                   metadata.num_aggregates};
-}
-
-GroupByKernelKind GpuModerator::ChooseKernel(const QueryMetadata& metadata,
-                                             const HashTableLayout& layout,
-                                             uint64_t usable_shared_mem) const {
-  if (options_.use_feedback) {
-    common::MutexLock lock(&mu_);
-    auto it = feedback_.find(MakeSignature(metadata));
-    if (it != feedback_.end() && it->second.observations > 0) {
-      it->second.last_used = ++use_tick_;
-      return it->second.best_kernel;
-    }
-  }
-  return CandidateKernels(metadata, layout, usable_shared_mem).front();
-}
-
-std::vector<GroupByKernelKind> GpuModerator::CandidateKernels(
-    const QueryMetadata& metadata, const HashTableLayout& layout,
-    uint64_t usable_shared_mem) const {
-  std::vector<GroupByKernelKind> ranked;
-
-  // Kernel 2: small number of groups, narrow key, groups fit comfortably
-  // in the SMX shared-memory table (section 4.3.2).
+GroupByKernelKind GpuModerator::ChooseKernel(
+    const gpusim::CostModel& cost, const gpusim::GroupByKernelParams& params,
+    const HashTableLayout& layout, uint64_t usable_shared_mem) {
   const uint64_t shared_cap = SharedTableCapacity(layout, usable_shared_mem);
-  const bool fits_shared =
-      !metadata.wide_key && shared_cap > 0 &&
-      static_cast<double>(metadata.estimated_groups) <=
-          static_cast<double>(shared_cap) * options_.shared_table_max_fill;
+  const bool shared_feasible =
+      !params.wide_key && shared_cap > 0 &&
+      static_cast<double>(params.groups) <=
+          static_cast<double>(shared_cap) * kSharedTableMaxFill;
 
-  // Kernel 3: many aggregation functions, or low contention where
-  // per-payload atomic/lock overhead dominates (section 4.3.3).
-  const double rows_per_group =
-      static_cast<double>(metadata.rows) /
-      static_cast<double>(std::max<uint64_t>(1, metadata.estimated_groups));
-  const bool prefers_rowlock =
-      metadata.num_aggregates > options_.many_aggregates_threshold ||
-      rows_per_group < options_.low_contention_rows_per_group ||
-      metadata.lock_typed_payload;
-
-  if (fits_shared) {
-    ranked.push_back(GroupByKernelKind::kSharedMem);
-  }
-  if (prefers_rowlock) {
-    ranked.push_back(GroupByKernelKind::kRowLock);
-  }
-  ranked.push_back(GroupByKernelKind::kRegular);
-  if (!prefers_rowlock) {
-    ranked.push_back(GroupByKernelKind::kRowLock);
-  }
-  return ranked;
-}
-
-void GpuModerator::RecordFeedback(const QueryMetadata& metadata,
-                                  GroupByKernelKind kind, SimTime duration) {
-  common::MutexLock lock(&mu_);
-  const Signature sig = MakeSignature(metadata);
-  auto it = feedback_.find(sig);
-  if (it == feedback_.end()) {
-    // Inserting a new signature: hold the table at the cap by evicting the
-    // least-recently-used cell first. The table is small (<= the cap), so
-    // a linear scan beats maintaining a second index under the lock.
-    if (options_.max_feedback_entries > 0 &&
-        feedback_.size() >= options_.max_feedback_entries) {
-      auto lru = feedback_.begin();
-      for (auto cand = feedback_.begin(); cand != feedback_.end(); ++cand) {
-        if (cand->second.last_used < lru->second.last_used) lru = cand;
-      }
-      feedback_.erase(lru);
+  auto model_time = [&](GroupByKernelKind kind) {
+    return params.record_bytes > 0 ? cost.FusedScanAggregateTime(kind, params)
+                                   : cost.GroupByKernelTime(kind, params);
+  };
+  GroupByKernelKind best = GroupByKernelKind::kRegular;
+  SimTime best_time = model_time(best);
+  auto consider = [&](GroupByKernelKind kind) {
+    const SimTime t = model_time(kind);
+    if (t < best_time) {
+      best = kind;
+      best_time = t;
     }
-    it = feedback_.emplace(sig, FeedbackCell{}).first;
-  }
-  FeedbackCell& cell = it->second;
-  if (cell.observations == 0 || duration < cell.best_time) {
-    cell.best_time = duration;
-    cell.best_kernel = kind;
-  }
-  ++cell.observations;
-  cell.last_used = ++use_tick_;
-  if (entries_gauge_ != nullptr) {
-    entries_gauge_->Set(static_cast<int64_t>(feedback_.size()));
-  }
-}
-
-size_t GpuModerator::feedback_entries() const {
-  common::MutexLock lock(&mu_);
-  return feedback_.size();
-}
-
-void GpuModerator::AttachMetrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) return;
-  entries_gauge_ = metrics->GetGauge(
-      "blusim_moderator_feedback_entries", {},
-      "Signatures resident in the moderator's feedback table");
+  };
+  if (shared_feasible) consider(GroupByKernelKind::kSharedMem);
+  consider(GroupByKernelKind::kRowLock);
+  return best;
 }
 
 }  // namespace blusim::groupby

@@ -2,112 +2,32 @@
 #define BLUSIM_GROUPBY_MODERATOR_H_
 
 #include <cstdint>
-#include <map>
-#include <vector>
 
-#include "common/annotations.h"
-
-#include "common/sim_clock.h"
 #include "gpusim/cost_model.h"
 #include "groupby/layout.h"
-#include "obs/metrics.h"
 
 namespace blusim::groupby {
 
-// Runtime metadata describing one group-by query, assembled from the DB2
-// optimizer estimates plus the KMV refinement (section 4.2).
-struct QueryMetadata {
-  uint64_t rows = 0;
-  uint64_t estimated_groups = 0;
-  int num_aggregates = 0;
-  bool wide_key = false;
-  bool lock_typed_payload = false;
-};
+// Kernel 2 is feasible only when the estimated groups fill at most this
+// fraction of the per-SMX shared-memory table: past it, hash collisions in
+// the small table and the KMV estimate's error leave too little headroom.
+inline constexpr double kSharedTableMaxFill = 0.5;
 
-// Kernel-selection policy knobs (section 4.3's selection rules).
-struct ModeratorOptions {
-  // Kernel 3 preferred when the aggregate count exceeds this
-  // (section 4.3.3: "more than 5").
-  int many_aggregates_threshold = 5;
-  // Kernel 3 preferred when rows/groups falls below this (low contention).
-  double low_contention_rows_per_group = 4.0;
-  // Kernel 2 requires the estimated groups to fill at most this fraction
-  // of the shared-memory table.
-  double shared_table_max_fill = 0.5;
-  // When true (and device resources allow), run the top-2 candidate
-  // kernels concurrently and keep the first finisher (section 4.2).
-  bool enable_racing = false;
-  // When true, consult recorded feedback before the static rules
-  // (the paper lists this as future work; implemented as an extension).
-  bool use_feedback = false;
-  // Cap on the feedback table: when an insert would exceed this many
-  // signatures, the least-recently-used cell is evicted (0 = unbounded).
-  // Long-running servers see an unbounded stream of query shapes; the
-  // table must not grow with them.
-  size_t max_feedback_entries = 1024;
-};
-
-// The GPU moderator: selects the group-by kernel for a query at runtime
-// from optimizer/KMV metadata, optionally races multiple kernels, and
-// records per-kernel feedback for the learned-preference extension.
+// The GPU moderator (section 4.2): picks the group-by kernel for a query at
+// runtime from the optimizer/KMV metadata. It holds no state; the choice is
+// one function of the query shape and the cost model.
 class GpuModerator {
  public:
-  explicit GpuModerator(ModeratorOptions options = {})
-      : options_(options) {}
-
-  const ModeratorOptions& options() const { return options_; }
-
-  // Primary kernel choice per the paper's rules:
-  //   few groups (fits shared memory, narrow key)        -> kernel 2
-  //   many aggregates OR low rows/groups contention      -> kernel 3
-  //   otherwise                                          -> kernel 1
-  gpusim::GroupByKernelKind ChooseKernel(
-      const QueryMetadata& metadata, const HashTableLayout& layout,
-      uint64_t usable_shared_mem) const;
-
-  // Ranked candidate list (best first); used for concurrent racing.
-  std::vector<gpusim::GroupByKernelKind> CandidateKernels(
-      const QueryMetadata& metadata, const HashTableLayout& layout,
-      uint64_t usable_shared_mem) const;
-
-  // Feedback hook: records the observed simulated duration of `kind` for a
-  // query signature. With `use_feedback`, ChooseKernel prefers the kernel
-  // with the best recorded time for similar queries.
-  void RecordFeedback(const QueryMetadata& metadata,
-                      gpusim::GroupByKernelKind kind, SimTime duration)
-      EXCLUDES(mu_);
-
-  // Number of feedback observations recorded (for tests/monitoring).
-  size_t feedback_entries() const EXCLUDES(mu_);
-
-  // Wires the feedback-table size gauge into `metrics`.
-  void AttachMetrics(obs::MetricsRegistry* metrics);
-
- private:
-  // Coarse query signature for the feedback table: log2 buckets of rows
-  // and groups plus the aggregate count.
-  struct Signature {
-    int rows_log2;
-    int groups_log2;
-    int num_aggregates;
-    auto operator<=>(const Signature&) const = default;
-  };
-  static Signature MakeSignature(const QueryMetadata& metadata);
-
-  struct FeedbackCell {
-    SimTime best_time = 0;
-    gpusim::GroupByKernelKind best_kernel = gpusim::GroupByKernelKind::kRegular;
-    uint64_t observations = 0;
-    uint64_t last_used = 0;  // use_tick_ at the most recent read or write
-  };
-
-  ModeratorOptions options_;
-  mutable common::Mutex mu_{"groupby.GpuModerator.mu",
-                            common::LockRank::kExec};
-  // mutable: feedback reads refresh recency under mu_ from const methods.
-  mutable uint64_t use_tick_ GUARDED_BY(mu_) = 0;
-  mutable std::map<Signature, FeedbackCell> feedback_ GUARDED_BY(mu_);
-  obs::Gauge* entries_gauge_ = nullptr;
+  // Among the feasible kernels, the one with the lowest modeled time:
+  // CostModel::FusedScanAggregateTime when `params.record_bytes > 0`
+  // (fused record input), CostModel::GroupByKernelTime otherwise. Kernels
+  // are tried in the order 1, 2, 3 and ties go to the earlier one. Kernels
+  // 1 and 3 are always feasible; kernel 2 only for a <=64-bit key whose
+  // estimated groups fit kSharedTableMaxFill of the shared table sized by
+  // `layout` and `usable_shared_mem`.
+  static gpusim::GroupByKernelKind ChooseKernel(
+      const gpusim::CostModel& cost, const gpusim::GroupByKernelParams& params,
+      const HashTableLayout& layout, uint64_t usable_shared_mem);
 };
 
 }  // namespace blusim::groupby

@@ -66,8 +66,7 @@ struct PartitionSlot {
 };
 
 // Shared work-queue state. Device lanes pop the front (largest remaining
-// partition); the CPU lane steals from the back (smallest) once its
-// pre-assigned share is done. The mutex is never held across partition
+// partition); the CPU lane runs only its pre-assigned share. The mutex is never held across partition
 // work -- pop, release, execute.
 struct WorkQueue {
   common::Mutex mu{"groupby.Partitioned.queue_mu", common::LockRank::kExec};

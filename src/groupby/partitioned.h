@@ -81,10 +81,10 @@ struct PartitionedOptions {
 // first; per-device driver threads drain the front through fused staging
 // under the scheduler's FIFO-ticket placement while the calling thread
 // drains a cost-model-sized CPU share (smallest partitions) through the
-// runtime::CpuGroupBy flat-table chain, stealing leftover device work
-// when it finishes early. Device failures that are recoverable on the
-// host (memory pressure, sentinel collisions, estimate blowups) retry the
-// partition on the CPU instead of failing the query.
+// runtime::CpuGroupBy flat-table chain; neither lane takes the other's
+// partitions. Device failures that are recoverable on the host (memory
+// pressure, sentinel collisions, estimate blowups) retry the partition on
+// the CPU instead of failing the query.
 class PartitionedGroupBy {
  public:
   static Result<runtime::GroupByOutput> Execute(

@@ -1,7 +1,6 @@
 // Deep tests of the device group-by: each kernel forced and verified
-// against the CPU chain, the overflow/retry error path, concurrent-kernel
-// racing, wide keys, lock-typed payloads, and the all-Fs key sentinel
-// fallback.
+// against the CPU chain, the overflow/retry error path, wide keys,
+// lock-typed payloads, and the all-Fs key sentinel fallback.
 
 #include "groupby/gpu_groupby.h"
 
@@ -148,7 +147,10 @@ TEST_F(GpuGroupByTest, Kernel3ManyAggregates) {
 }
 
 TEST_F(GpuGroupByTest, Kernel3LowContention) {
-  auto t = MakeTable(20000, 18000, 4);  // rows/groups ~ 1.1
+  // rows/groups ~ 1.1. Kernel 3 saves ~5 ns per row here; at 20k rows the
+  // kernels' modeled times round to the same microsecond and the tie goes
+  // to kernel 1, so the input is large enough for the saving to show.
+  auto t = MakeTable(200000, 180000, 4);
   GpuGroupByStats stats;
   VerifyAgainstCpu(*t, BasicSpec(false, false), &stats);
   EXPECT_EQ(stats.kernel_used, GroupByKernelKind::kRowLock);
@@ -184,16 +186,6 @@ TEST_F(GpuGroupByTest, NullPayloadsSkipped) {
                      {AggFn::kCount, -1, "n"}};
   GpuGroupByStats stats;
   VerifyAgainstCpu(*t, spec, &stats);
-}
-
-TEST_F(GpuGroupByTest, RacingProducesCorrectResults) {
-  auto t = MakeTable(40000, 3000, 8);
-  GpuGroupByStats stats;
-  GpuGroupByOptions options;
-  options.enable_racing = true;
-  VerifyAgainstCpu(*t, BasicSpec(false, false), &stats, options);
-  EXPECT_TRUE(stats.raced);
-  EXPECT_GT(stats.loser_time, 0);
 }
 
 TEST_F(GpuGroupByTest, SentinelKeyFallsBackToCpu) {
