@@ -110,7 +110,6 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
   GroupByOutput out;
   out.num_groups = groups.size();
   out.kmv_estimate = global_kmv.Estimate();
-  out.input_rows = total_rows;
   BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroups(plan, groups));
   return out;
 }

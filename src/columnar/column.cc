@@ -100,6 +100,31 @@ void Column::AppendNull() {
   ++null_count_;
 }
 
+void Column::AppendFrom(const Column& src, size_t row) {
+  if (src.IsNull(row)) {
+    AppendNull();
+    return;
+  }
+  switch (src.type()) {
+    case DataType::kInt32:
+    case DataType::kDate:
+      AppendInt32Impl(src.int32_data()[row]);
+      break;
+    case DataType::kInt64:
+      AppendInt64(src.int64_data()[row]);
+      break;
+    case DataType::kFloat64:
+      AppendDouble(src.float64_data()[row]);
+      break;
+    case DataType::kDecimal128:
+      AppendDecimal(src.decimal_data()[row]);
+      break;
+    case DataType::kString:
+      AppendString(src.string_data()[row]);
+      break;
+  }
+}
+
 const std::vector<int32_t>& Column::int32_data() const {
   BLUSIM_CHECK(type_ == DataType::kInt32 || type_ == DataType::kDate);
   return std::get<std::vector<int32_t>>(data_);

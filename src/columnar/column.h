@@ -30,6 +30,8 @@ class Column {
   void AppendString(std::string v);
   void AppendDate(int32_t days) { AppendInt32Impl(days); }
   void AppendNull();
+  // Appends `src`'s value at `row`, or a null; `src` has this type.
+  void AppendFrom(const Column& src, size_t row);
 
   void Reserve(size_t n);
 

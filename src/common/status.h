@@ -82,12 +82,15 @@ class [[nodiscard]] Status {
 
   // True when the caller may retry on the CPU (host) path instead. The
   // CPU chain needs neither device memory nor pinned staging buffers, so
-  // resource exhaustion on either side is recoverable by falling back.
+  // resource exhaustion on either side is recoverable by falling back, as
+  // are an unsupported plan and a table that outgrew every retry.
   bool IsRecoverableOnHost() const {
     return code_ == StatusCode::kOutOfDeviceMemory ||
            code_ == StatusCode::kOutOfHostMemory ||
            code_ == StatusCode::kDeviceUnavailable ||
-           code_ == StatusCode::kCapacityExceeded;
+           code_ == StatusCode::kCapacityExceeded ||
+           code_ == StatusCode::kNotSupported ||
+           code_ == StatusCode::kEstimateTooLow;
   }
 
   std::string ToString() const;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/hash.h"
 #include "common/kmv.h"
 #include "common/logging.h"
-#include "groupby/partitioned.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/operators.h"
 #include "sort/gpu_sort.h"
@@ -15,7 +13,6 @@
 namespace blusim::core {
 
 using columnar::Column;
-using columnar::DataType;
 using columnar::Table;
 using runtime::GroupByPlan;
 using runtime::Predicate;
@@ -48,17 +45,6 @@ const gpusim::DeviceSpec& PrimarySpec(const EngineConfig& config) {
                                      : config.device_specs.front();
 }
 
-// Smallest device memory in the fleet (bounds chunk sizing and the T3 cap
-// when devices are heterogeneous).
-uint64_t MinDeviceMemory(
-    const std::vector<std::unique_ptr<gpusim::SimDevice>>& devices) {
-  uint64_t m = UINT64_MAX;
-  for (const auto& d : devices) {
-    m = std::min(m, d->spec().device_memory_bytes);
-  }
-  return m;
-}
-
 std::vector<gpusim::SimDevice*> DevicePointers(
     const std::vector<std::unique_ptr<gpusim::SimDevice>>& devices) {
   std::vector<gpusim::SimDevice*> out;
@@ -67,7 +53,8 @@ std::vector<gpusim::SimDevice*> DevicePointers(
   return out;
 }
 
-// Bytes per row touched by a filter scan (sum of predicate column widths).
+// Bytes per row touched by a filter scan (sum of predicate column widths,
+// at least 4).
 int ScanWidth(const Table& table, const std::vector<Predicate>& predicates) {
   int width = 0;
   for (const Predicate& p : predicates) {
@@ -79,29 +66,84 @@ int ScanWidth(const Table& table, const std::vector<Predicate>& predicates) {
   return std::max(width, 4);
 }
 
-void AppendValue(const Column& src, uint32_t row, Column* dst) {
-  if (src.IsNull(row)) {
-    dst->AppendNull();
-    return;
+// A host phase: `cpu_work` serial simulated microseconds run at `dop`.
+PhaseRecord CpuPhase(std::string label, SimTime cpu_work, int dop) {
+  PhaseRecord phase;
+  phase.kind = PhaseRecord::Kind::kCpu;
+  phase.label = std::move(label);
+  phase.cpu_work = cpu_work;
+  phase.dop = dop;
+  return phase;
+}
+
+// A device chunk's job: transfers, table init and kernel, plus `waited`
+// (the chunk's reservation wait, when its phase carries it).
+PhaseRecord DevicePhase(std::string label,
+                        const groupby::PartitionChunkStats& chunk,
+                        SimTime waited) {
+  PhaseRecord phase;
+  phase.kind = PhaseRecord::Kind::kGpu;
+  phase.label = std::move(label);
+  phase.device_time = waited + chunk.gpu.total() - chunk.gpu.stage_time;
+  phase.device_mem = chunk.gpu.device_bytes_reserved;
+  phase.device_id = chunk.device_id;
+  phase.bytes_moved = chunk.gpu.bytes_in + chunk.gpu.bytes_out;  // PCIe
+  return phase;
+}
+
+// A reservation beyond the query's granted share of device or pinned
+// memory (serving-layer budgets; 0 = unlimited).
+bool OverBudget(uint64_t bytes, const ExecOptions& opts) {
+  return (opts.device_budget_bytes > 0 && bytes > opts.device_budget_bytes) ||
+         (opts.pinned_budget_bytes > 0 && bytes > opts.pinned_budget_bytes);
+}
+
+// Index of each `side` label value in the partitioned-path instruments.
+constexpr int kGpuSide = 0;
+constexpr int kCpuSide = 1;
+
+// Routing estimates without a materialized selection (deferred-scan
+// fusion): a strided sample of the fact table yields the predicate pass
+// ratio and a sampled-KMV distinct count, scaled up when the sampled keys
+// look near-unique (unbounded domain) and taken as-is otherwise.
+OptimizerEstimates SampleEstimates(const GroupByPlan& plan, const Table& fact,
+                                   const std::vector<Predicate>& filters) {
+  OptimizerEstimates est;
+  const uint64_t n = fact.num_rows();
+  if (n == 0) return est;
+  // Sample size scales with the table: a fixed 4096-row sample cannot
+  // tell a 64k-group domain from a unique key (every sampled key looks
+  // distinct either way), and the near-unique scale-up below would then
+  // inflate the estimate by the sampling ratio -- which mis-routes the
+  // partitioned upgrade for exactly the T2 < n < T3 inputs it exists for.
+  const uint64_t target =
+      std::min<uint64_t>(n, std::max<uint64_t>(4096, n / 64));
+  const uint64_t step = std::max<uint64_t>(1, n / target);
+  KmvSketch sketch(512);
+  uint64_t examined = 0;
+  uint64_t passed = 0;
+  for (uint64_t row = 0; row < n; row += step) {
+    ++examined;
+    if (!filters.empty() &&
+        !runtime::RowMatchesPredicates(fact, filters,
+                                       static_cast<uint32_t>(row))) {
+      continue;
+    }
+    ++passed;
+    sketch.AddHash(plan.KeyHash(row));
   }
-  switch (src.type()) {
-    case DataType::kInt32:
-    case DataType::kDate:
-      dst->AppendInt32(src.int32_data()[row]);
-      break;
-    case DataType::kInt64:
-      dst->AppendInt64(src.int64_data()[row]);
-      break;
-    case DataType::kFloat64:
-      dst->AppendDouble(src.float64_data()[row]);
-      break;
-    case DataType::kDecimal128:
-      dst->AppendDecimal(src.decimal_data()[row]);
-      break;
-    case DataType::kString:
-      dst->AppendString(src.string_data()[row]);
-      break;
+  est.rows = examined > 0 ? n * passed / examined : n;
+  const uint64_t distinct = std::max<uint64_t>(1, sketch.Estimate());
+  // Near-unique sampled keys mean the distinct count grows with the input
+  // (scale the sampled ratio up); a saturated/bounded key domain shows
+  // repeats in the sample and the sketch estimate stands on its own.
+  if (passed > 0 && distinct * 4 >= passed * 3) {
+    est.groups = std::max<uint64_t>(
+        1, est.rows * distinct / std::max<uint64_t>(1, passed));
+  } else {
+    est.groups = distinct;
   }
+  return est;
 }
 
 }  // namespace
@@ -127,14 +169,84 @@ Result<std::shared_ptr<Table>> MaterializeRows(
   for (size_t i = 0; i < cols.size(); ++i) {
     const Column& src = table.column(static_cast<size_t>(cols[i]));
     Column& dst = out->column(i);
-    for (uint32_t row : rows) AppendValue(src, row, &dst);
+    for (uint32_t row : rows) dst.AppendFrom(src, row);
   }
   return out;
+}
+
+Engine::Instruments::Instruments(obs::MetricsRegistry* m) {
+  for (const ExecutionPath path : {ExecutionPath::kCpu, ExecutionPath::kGpu,
+                                   ExecutionPath::kPartitioned}) {
+    router_groupby[static_cast<int>(path)] =
+        m->GetCounter("blusim_router_groupby_total",
+                      {{"path", ExecutionPathName(path)}},
+                      "Group-by routing decisions by figure-3 outcome");
+  }
+  groupby_fallbacks = m->GetCounter(
+      "blusim_router_groupby_fallbacks_total", {},
+      "GPU-routed group-bys that fell back to the CPU chain");
+  budget_capped = m->GetCounter(
+      "blusim_router_budget_capped_total", {},
+      "GPU placements re-routed to the CPU by per-query memory budgets");
+  using gpusim::GroupByKernelKind;
+  for (const GroupByKernelKind kind :
+       {GroupByKernelKind::kRegular, GroupByKernelKind::kSharedMem,
+        GroupByKernelKind::kRowLock}) {
+    for (const bool fused : {false, true}) {
+      kernel[static_cast<int>(kind) - 1][fused] = m->GetCounter(
+          "blusim_moderator_kernel_total",
+          {{"kernel", fused ? gpusim::GroupByKernelKindFusedName(kind)
+                            : gpusim::GroupByKernelKindName(kind)}},
+          "Group-by kernel executions by moderator choice");
+    }
+  }
+  bytes_h2d = m->GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
+                            "Host-to-device bytes moved (true wire sizes)");
+  bytes_d2h = m->GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
+                            "Device-to-host bytes moved (true wire sizes)");
+  bytes_staged_avoided = m->GetCounter(
+      "blusim_bytes_staged_avoided_total", {{"op", "groupby"}},
+      "Staged bytes data-path fusion avoided shipping versus SoA staging of "
+      "the same survivor rows");
+  partitioned_queries =
+      m->GetCounter("blusim_partitioned_queries_total", {},
+                    "Queries executed on the partitioned CPU+GPU path");
+  for (const int side : {kGpuSide, kCpuSide}) {
+    const char* name = side == kGpuSide ? "gpu" : "cpu";
+    partitioned_chunks[side] =
+        m->GetCounter("blusim_partitioned_chunks_total", {{"side", name}},
+                      "Partition chunks by executing side");
+    partitioned_rows[side] =
+        m->GetCounter("blusim_partitioned_rows_total", {{"side", name}},
+                      "Partitioned group-by input rows by executing side");
+  }
+  partitioned_gpu_fallbacks = m->GetCounter(
+      "blusim_partitioned_gpu_fallbacks_total", {},
+      "Partition chunks whose device attempt retried on the CPU lane");
+  partitioned_cpu_split = m->GetHistogram(
+      "blusim_partitioned_cpu_split_percent", {},
+      "Target CPU row share per partitioned query (percent)");
+  for (const bool gpu : {false, true}) {
+    queries[gpu] =
+        m->GetCounter("blusim_queries_total", {{"gpu", gpu ? "true" : "false"}},
+                      "Queries executed, by whether any phase used a device");
+  }
+  queries_degraded = m->GetCounter(
+      "blusim_queries_degraded_total", {},
+      "Queries that re-routed a GPU-routed phase to the CPU after routing "
+      "(budget, denial, or device failure)");
+  for (const char* shape : kQueryShapeNames) {
+    query_elapsed[shape] = m->GetHistogram(
+        "blusim_query_elapsed_us", {{"class", shape}},
+        "Serial elapsed time per query (simulated microseconds), by query "
+        "shape class");
+  }
 }
 
 Engine::Engine(EngineConfig config)
     : config_(config),
       cost_(config.host, PrimarySpec(config)),
+      instruments_(&metrics_),
       checker_(std::make_unique<gpusim::DeviceChecker>(
           config.check_device < 0 ? gpusim::DeviceChecker::EnabledByDefault()
                                   : config.check_device != 0)),
@@ -166,6 +278,19 @@ void Engine::RecordPhase(PhaseRecord phase, const char* category,
   profile->phases.push_back(std::move(phase));
 }
 
+Result<std::vector<uint32_t>> Engine::ScanFact(
+    const Table& fact, const std::vector<Predicate>& filters,
+    QueryProfile* profile, obs::TraceBuilder* trace) {
+  BLUSIM_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                          runtime::FilterScan(fact, filters, &pool_));
+  RecordPhase(CpuPhase("scan",
+                       cost_.HostScanTime(fact.num_rows(),
+                                          ScanWidth(fact, filters), 1),
+                       config_.query_dop),
+              obs::kCatCpu, profile, trace);
+  return rows;
+}
+
 SimTime Engine::startup_registration_time() const {
   if (devices_.empty()) return 0;
   return cost_.HostRegistrationTime(config_.pinned_pool_bytes);
@@ -191,79 +316,7 @@ Result<std::shared_ptr<Table>> Engine::GetTable(
   return it->second;
 }
 
-uint64_t Engine::EstimateGroups(const GroupByPlan& plan,
-                                const std::vector<uint32_t>& selection) const {
-  const uint64_t n = selection.size();
-  if (n == 0) return 0;
-  // Full-pass KMV sketch over the grouping keys, the same estimate the
-  // HASH evaluator produces for the GPU runtime (section 4.2). A sketch
-  // cannot be fooled by bounded domains the way sample-extrapolation can,
-  // and the pass is a tiny fraction of the query's work.
-  KmvSketch sketch(512);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t h;
-    if (plan.wide_key()) {
-      runtime::WideKey wk;
-      plan.FillWideKey(selection[i], &wk);
-      h = Murmur3_64(wk.bytes, wk.len);
-    } else {
-      h = Mix64(plan.PackKey(selection[i]));
-    }
-    sketch.AddHash(h);
-  }
-  return std::max<uint64_t>(1, sketch.Estimate());
-}
-
-OptimizerEstimates Engine::SampleEstimates(
-    const GroupByPlan& plan, const Table& fact,
-    const std::vector<Predicate>& filters) const {
-  OptimizerEstimates est;
-  const uint64_t n = fact.num_rows();
-  if (n == 0) return est;
-  // Sample size scales with the table: a fixed 4096-row sample cannot
-  // tell a 64k-group domain from a unique key (every sampled key looks
-  // distinct either way), and the near-unique scale-up below would then
-  // inflate the estimate by the sampling ratio -- which mis-routes the
-  // partitioned upgrade for exactly the T2 < n < T3 inputs it exists for.
-  const uint64_t target =
-      std::min<uint64_t>(n, std::max<uint64_t>(4096, n / 64));
-  const uint64_t step = std::max<uint64_t>(1, n / target);
-  KmvSketch sketch(512);
-  uint64_t examined = 0;
-  uint64_t passed = 0;
-  for (uint64_t row = 0; row < n; row += step) {
-    ++examined;
-    if (!filters.empty() &&
-        !runtime::RowMatchesPredicates(fact, filters,
-                                       static_cast<uint32_t>(row))) {
-      continue;
-    }
-    ++passed;
-    uint64_t h;
-    if (plan.wide_key()) {
-      runtime::WideKey wk;
-      plan.FillWideKey(static_cast<uint32_t>(row), &wk);
-      h = Murmur3_64(wk.bytes, wk.len);
-    } else {
-      h = Mix64(plan.PackKey(static_cast<uint32_t>(row)));
-    }
-    sketch.AddHash(h);
-  }
-  est.rows = examined > 0 ? n * passed / examined : n;
-  const uint64_t distinct = std::max<uint64_t>(1, sketch.Estimate());
-  // Near-unique sampled keys mean the distinct count grows with the input
-  // (scale the sampled ratio up); a saturated/bounded key domain shows
-  // repeats in the sample and the sketch estimate stands on its own.
-  if (passed > 0 && distinct * 4 >= passed * 3) {
-    est.groups = std::max<uint64_t>(
-        1, est.rows * distinct / std::max<uint64_t>(1, passed));
-  } else {
-    est.groups = distinct;
-  }
-  return est;
-}
-
-Result<Engine::GroupByOutcome> Engine::RunGroupBy(
+Result<std::shared_ptr<Table>> Engine::RunGroupBy(
     const QuerySpec& query, const Table& fact,
     const std::vector<uint32_t>* selection, const ExecOptions& opts,
     QueryProfile* profile, obs::TraceBuilder* trace) {
@@ -280,16 +333,7 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   auto materialize_selection = [&]() -> Status {
     if (!deferred) return Status::OK();
     BLUSIM_ASSIGN_OR_RETURN(
-        scanned_rows, runtime::FilterScan(fact, query.fact_filters, &pool_));
-    PhaseRecord scan;
-    scan.kind = PhaseRecord::Kind::kCpu;
-    scan.label = "scan";
-    scan.cpu_work = cost_.HostScanTime(
-        fact.num_rows(),
-        query.fact_filters.empty() ? 4 : ScanWidth(fact, query.fact_filters),
-        1);
-    scan.dop = config_.query_dop;
-    RecordPhase(std::move(scan), obs::kCatCpu, profile, trace);
+        scanned_rows, ScanFact(fact, query.fact_filters, profile, trace));
     selection = &scanned_rows;
     deferred = false;
     plan.set_stage_filter({});
@@ -299,43 +343,46 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   OptimizerEstimates estimates;
   if (deferred) {
     estimates = SampleEstimates(plan, fact, query.fact_filters);
-  } else {
+  } else if (!selection->empty()) {
+    // Full-pass KMV sketch over the grouping keys, the same estimate the
+    // HASH evaluator produces for the GPU runtime (section 4.2). A sketch
+    // cannot be fooled by bounded domains the way sample-extrapolation
+    // can, and the pass is a tiny fraction of the query's work.
+    KmvSketch sketch(512);
+    for (uint32_t row : *selection) sketch.AddHash(plan.KeyHash(row));
     estimates.rows = selection->size();
-    estimates.groups = EstimateGroups(plan, *selection);
+    estimates.groups = std::max<uint64_t>(1, sketch.Estimate());
   }
   trace->Annotate("kmv_estimate", std::to_string(estimates.groups));
 
   // Cap T3 by what actually fits on a device (inputs + table).
   RouterThresholds thresholds = config_.thresholds;
-  if (!devices_.empty()) {
-    const uint64_t per_row = static_cast<uint64_t>(
-        8 + 4 + plan.payload_bytes_per_row() + 8);
-    thresholds.t3_max_rows =
-        std::min<uint64_t>(thresholds.t3_max_rows,
-                           MinDeviceMemory(devices_) /
-                               std::max<uint64_t>(1, per_row));
-  }
+  const uint64_t per_row =
+      static_cast<uint64_t>(8 + 4 + plan.payload_bytes_per_row() + 8);
+  thresholds.t3_max_rows = std::min<uint64_t>(
+      thresholds.t3_max_rows, scheduler_.min_device_memory() / per_row);
 
   ExecutionPath path =
       ChooseGroupByPath(estimates, thresholds, !devices_.empty());
-  if (path == ExecutionPath::kGpu && config_.enable_partitioned_gpu &&
-      !devices_.empty()) {
+  if (path == ExecutionPath::kGpu && config_.enable_partitioned_gpu) {
     // T2 < n < T3 upgrade: when the cost model predicts the concurrent
-    // partitioned CPU+GPU execution beats both one device and the CPU
-    // chain by >= 10%, shard the query instead of running it whole on one
-    // device (docs/partitioned_execution.md).
+    // partitioned CPU+GPU execution beats both the one-partition run and
+    // the CPU chain by >= 10%, shard the query instead of running it whole
+    // on one device (docs/partitioned_execution.md).
     gpusim::PartitionedShape shape = groupby::PartitionedGroupBy::MakeShape(
-        plan, estimates.rows, estimates.groups, MinDeviceMemory(devices_),
-        static_cast<int>(devices_.size()),
+        plan, estimates.rows, estimates.groups,
+        scheduler_.min_device_memory(), static_cast<int>(devices_.size()),
         config_.groupby_options.allow_fusion && config_.enable_fusion,
-        config_.query_dop, pool_.num_threads());
+        config_.query_dop);
     if (shape.max_rows_per_chunk > 0) {
       const double frac =
           config_.partitioned_cpu_split >= 0.0
               ? std::clamp(config_.partitioned_cpu_split, 0.0, 1.0)
               : cost_.ChoosePartitionedCpuFraction(shape);
+      gpusim::PartitionedShape one = shape;
+      one.num_partitions = 1;
       const SimTime t_part = cost_.PartitionedTime(shape, frac);
-      const SimTime t_single = cost_.SingleDeviceGroupByTime(shape);
+      const SimTime t_single = cost_.PartitionedTime(one, 0.0);
       const SimTime t_cpu = static_cast<SimTime>(
           static_cast<double>(cost_.HostGroupByTime(
               estimates.rows, estimates.groups,
@@ -349,21 +396,13 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   }
   profile->groupby_path = path;
   trace->Annotate("groupby_path", ExecutionPathName(path));
-  metrics_
-      .GetCounter("blusim_router_groupby_total",
-                  {{"path", ExecutionPathName(path)}},
-                  "Group-by routing decisions by figure-3 outcome")
-      ->Add(1);
+  instruments_.router_groupby[static_cast<int>(path)]->Add(1);
 
-  GroupByOutcome outcome;
-  outcome.path = path;
-
-  if (path == ExecutionPath::kPartitioned && config_.enable_partitioned_gpu) {
-    // Concurrent hash-partitioned CPU+GPU execution (the mechanism of
-    // section 2.2 plus the co-execution the paper left as future work):
-    // the partition sweep needs explicit row ids, so a deferred filter
-    // materializes first.
-    BLUSIM_RETURN_NOT_OK(materialize_selection());
+  // Device group-by: one driver. A GPU route is its one-partition case; a
+  // partitioned route (upgrade, or an input beyond T3) hash-partitions.
+  const bool one_partition = path == ExecutionPath::kGpu;
+  if (one_partition || (path == ExecutionPath::kPartitioned &&
+                        config_.enable_partitioned_gpu)) {
     groupby::PartitionedOptions popts;
     popts.gpu = config_.groupby_options;
     popts.gpu.allow_fusion = popts.gpu.allow_fusion && config_.enable_fusion;
@@ -372,307 +411,60 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
     popts.wait = opts.wait;
     popts.cpu_split_fraction = config_.partitioned_cpu_split;
     popts.cpu_dop = config_.query_dop;
-    popts.cost = &cost_;
-    groupby::PartitionedStats pstats;
-    auto part_out = groupby::PartitionedGroupBy::Execute(
-        plan, &scheduler_, &pinned_, &pool_, &moderator_, *selection, popts,
-        &pstats);
-    if (part_out.ok()) {
-      // Phase accounting: the partition sweep and the device chunks' host
-      // staging are pool work charged at query dop. The CPU and device
-      // lanes run concurrently, so one umbrella phase carries
-      // max(CPU lane, slowest device lane) and the per-chunk phases are
-      // recorded `overlapped` — visible in ExplainAnalyze for attribution
-      // but excluded from elapsed sums and the concurrency replay.
-      PhaseRecord part;
-      part.kind = PhaseRecord::Kind::kCpu;
-      part.label = "groupby-partition-plan";
-      part.cpu_work = pstats.partition_time;
-      part.dop = config_.query_dop;
-      RecordPhase(std::move(part), obs::kCatCpu, profile, trace);
-
-      uint64_t bytes_in = 0;
-      uint64_t bytes_out = 0;
-      uint64_t bytes_avoided = 0;
-      uint64_t cpu_chunks = 0;
-      uint64_t gpu_chunks = 0;
-      uint64_t fallbacks = 0;
-      for (const auto& chunk : pstats.chunks) {
-        if (chunk.on_gpu) {
-          ++gpu_chunks;
-          bytes_in += chunk.gpu.bytes_in;
-          bytes_out += chunk.gpu.bytes_out;
-          bytes_avoided += chunk.gpu.bytes_avoided;
-          PhaseRecord gp;
-          gp.kind = PhaseRecord::Kind::kGpu;
-          gp.label = "groupby-partition";
-          gp.overlapped = true;
-          gp.device_time =
-              chunk.wait_time + chunk.gpu.total() - chunk.gpu.stage_time;
-          gp.device_mem = chunk.gpu.device_bytes_reserved;
-          gp.device_id = chunk.device_id;
-          gp.bytes_moved = chunk.gpu.bytes_in + chunk.gpu.bytes_out;
-          RecordPhase(std::move(gp), obs::kCatGpu, profile, trace);
-          const char* kernel_name =
-              chunk.gpu.fused
-                  ? gpusim::GroupByKernelKindFusedName(chunk.gpu.kernel_used)
-                  : gpusim::GroupByKernelKindName(chunk.gpu.kernel_used);
-          metrics_
-              .GetCounter("blusim_moderator_kernel_total",
-                          {{"kernel", kernel_name}},
-                          "Group-by kernel executions by moderator choice")
-              ->Add(1);
-        } else {
-          ++cpu_chunks;
-          if (chunk.gpu_fallback) ++fallbacks;
-          PhaseRecord cp;
-          cp.kind = PhaseRecord::Kind::kCpu;
-          cp.label = "groupby-partition-cpu";
-          cp.overlapped = true;
-          cp.cpu_work = chunk.wait_time + chunk.cpu_time;
-          cp.dop = 1;
-          RecordPhase(std::move(cp), obs::kCatCpu, profile, trace);
-        }
+    if (deferred) {
+      // Only a one-partition run on fused records folds the deferred scan
+      // into its staging sweep. The partition sweep and SoA staging (wide
+      // key, or fusion not worth it for this shape) need explicit row ids.
+      plan.set_stage_filter(query.fact_filters);
+      if (!one_partition ||
+          groupby::GpuGroupBy::ChooseStageMode(
+              plan, cost_, popts.gpu, fact.num_rows(), pool_.num_threads()) !=
+              groupby::StageMode::kFusedRecords) {
+        BLUSIM_RETURN_NOT_OK(materialize_selection());
       }
-      if (pstats.stage_time > 0) {
-        PhaseRecord stage;
-        stage.kind = PhaseRecord::Kind::kCpu;
-        stage.label = "groupby-partition-stage";
-        stage.cpu_work = pstats.stage_time;
-        stage.dop = config_.query_dop;
-        stage.bytes_moved = bytes_in;
-        RecordPhase(std::move(stage), obs::kCatCpu, profile, trace);
-      }
-      PhaseRecord lanes;
-      lanes.kind = PhaseRecord::Kind::kCpu;
-      lanes.label = "groupby-partitioned";
-      lanes.cpu_work = std::max(pstats.cpu_lane_time, pstats.gpu_lane_time);
-      lanes.dop = 1;
-      RecordPhase(std::move(lanes), obs::kCatCpu, profile, trace);
-      PhaseRecord merge;
-      merge.kind = PhaseRecord::Kind::kCpu;
-      merge.label = "groupby-merge";
-      merge.cpu_work = pstats.merge_time;
-      merge.dop = 1;
-      RecordPhase(std::move(merge), obs::kCatCpu, profile, trace);
-
-      metrics_
-          .GetCounter("blusim_partitioned_queries_total", {},
-                      "Queries executed on the partitioned CPU+GPU path")
-          ->Add(1);
-      metrics_
-          .GetCounter("blusim_partitioned_chunks_total", {{"side", "gpu"}},
-                      "Partition chunks by executing side")
-          ->Add(gpu_chunks);
-      metrics_
-          .GetCounter("blusim_partitioned_chunks_total", {{"side", "cpu"}},
-                      "Partition chunks by executing side")
-          ->Add(cpu_chunks);
-      metrics_
-          .GetCounter("blusim_partitioned_rows_total", {{"side", "gpu"}},
-                      "Partitioned group-by input rows by executing side")
-          ->Add(pstats.gpu_rows);
-      metrics_
-          .GetCounter("blusim_partitioned_rows_total", {{"side", "cpu"}},
-                      "Partitioned group-by input rows by executing side")
-          ->Add(pstats.cpu_rows);
-      metrics_
-          .GetCounter("blusim_partitioned_gpu_fallbacks_total", {},
-                      "Partition chunks whose device attempt retried on the "
-                      "CPU lane")
-          ->Add(fallbacks);
-      metrics_
-          .GetHistogram("blusim_partitioned_cpu_split_percent", {},
-                        "Target CPU row share per partitioned query "
-                        "(percent)")
-          ->Observe(static_cast<uint64_t>(pstats.cpu_split_fraction * 100.0));
-      metrics_
-          .GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
-                      "Host-to-device bytes moved (true wire sizes)")
-          ->Add(bytes_in);
-      metrics_
-          .GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
-                      "Device-to-host bytes moved (true wire sizes)")
-          ->Add(bytes_out);
-      metrics_
-          .GetCounter("blusim_bytes_staged_avoided_total",
-                      {{"op", "groupby"}},
-                      "Staged bytes data-path fusion avoided shipping "
-                      "versus SoA staging of the same survivor rows")
-          ->Add(bytes_avoided);
-
-      trace->Annotate("partitions", std::to_string(pstats.num_partitions));
-      trace->Annotate("cpu_split",
-                      std::to_string(pstats.cpu_split_fraction));
-      trace->Annotate("actual_groups",
-                      std::to_string(part_out->table->num_rows()));
-      outcome.table = part_out->table;
-      outcome.gpu_used = gpu_chunks > 0;
-      if (!outcome.gpu_used) profile->degraded = true;
-      return outcome;
     }
-    // Partitioned path failed outright: degrade to the CPU chain below.
-    profile->groupby_path = ExecutionPath::kCpu;
-    outcome.path = ExecutionPath::kCpu;
-    profile->degraded = true;
-    trace->Annotate("groupby_fallback", "partitioned");
-    metrics_
-        .GetCounter("blusim_router_groupby_fallbacks_total", {},
-                    "GPU-routed group-bys that fell back to the CPU chain")
-        ->Add(1);
-  }
-
-  if (path == ExecutionPath::kGpu) {
-    groupby::GpuGroupByOptions gopts = config_.groupby_options;
-    gopts.allow_fusion = gopts.allow_fusion && config_.enable_fusion;
-    gopts.estimated_rows = estimates.rows;
-    gopts.estimated_groups = estimates.groups;
-    if (deferred) plan.set_stage_filter(query.fact_filters);
-    groupby::StageMode mode = groupby::GpuGroupBy::ChooseStageMode(
-        plan, cost_, gopts,
-        deferred ? fact.num_rows() : selection->size(),
-        pool_.num_threads());
-    if (deferred && mode != groupby::StageMode::kFusedRecords) {
-      // Unfusable (wide key) or fusion not worth it for this shape: run
-      // the classic scan up front and stage SoA over the survivors.
-      BLUSIM_RETURN_NOT_OK(materialize_selection());
-      mode = groupby::GpuGroupBy::ChooseStageMode(
-          plan, cost_, gopts, selection->size(), pool_.num_threads());
-    }
-    const uint64_t capacity = groupby::ChooseCapacity(estimates.groups);
-    const uint64_t bytes_needed =
-        mode == groupby::StageMode::kFusedRecords
-            ? groupby::GpuGroupBy::FusedDeviceBytesNeeded(
-                  plan, estimates.rows, capacity)
-            : groupby::GpuGroupBy::DeviceBytesNeeded(plan, estimates.rows,
-                                                     capacity);
-    // Per-query budgets (serving layer): a reservation beyond this query's
-    // granted share of device or pinned memory degrades to the CPU chain
-    // up front instead of competing for memory it was not allotted.
+    // Per-query budgets (serving layer): a one-partition reservation beyond
+    // this query's granted share of device or pinned memory degrades to the
+    // CPU chain up front instead of competing for memory it was not
+    // allotted. Hash-partitioned chunks are sized to the devices instead.
     const bool over_budget =
-        (opts.device_budget_bytes > 0 &&
-         bytes_needed > opts.device_budget_bytes) ||
-        (opts.pinned_budget_bytes > 0 &&
-         bytes_needed > opts.pinned_budget_bytes);
+        one_partition &&
+        OverBudget(groupby::PartitionedGroupBy::OnePartitionBytesNeeded(
+                       plan, cost_, popts.gpu,
+                       deferred ? fact.num_rows() : selection->size(),
+                       pool_.num_threads()),
+                   opts);
+    Status status;
     if (over_budget) {
-      metrics_
-          .GetCounter("blusim_router_budget_capped_total", {},
-                      "GPU placements re-routed to the CPU by per-query "
-                      "memory budgets")
-          ->Add(1);
-    }
-    SimTime waited = 0;
-    auto device = over_budget
-                      ? Result<gpusim::SimDevice*>(Status::CapacityExceeded(
-                            "reservation exceeds the per-query budget"))
-                      : scheduler_.PickDeviceWithWait(bytes_needed, &waited,
-                                                      opts.wait);
-    if (waited > 0) {
-      // A blocked agent holds its thread while polling for device memory,
-      // so the wait is charged as a dop-1 phase (and shows up as a wait
-      // span in the trace).
-      PhaseRecord wait;
-      wait.kind = PhaseRecord::Kind::kCpu;
-      wait.label = "reservation-wait";
-      wait.cpu_work = waited;
-      wait.dop = 1;
-      RecordPhase(std::move(wait), obs::kCatWait, profile, trace);
-    }
-    if (device.ok()) {
-      groupby::GpuGroupByStats stats;
-      auto gpu_out = groupby::GpuGroupBy::Execute(
-          plan, device.value(), &pinned_, &pool_, &moderator_, selection,
-          gopts, &stats);
-      if (gpu_out.ok()) {
-        // Host staging phase (chain + MEMCPY, or the fused one-sweep scan
-        // + encode + pinned write), then the device job. While the kernel
-        // runs, the host threads are released (the off-load benefit the
-        // concurrency experiments measure).
-        PhaseRecord stage;
-        stage.kind = PhaseRecord::Kind::kCpu;
-        stage.label = "groupby-stage";
-        stage.cpu_work = stats.stage_time;
-        stage.dop = config_.query_dop;
-        stage.bytes_moved = stats.bytes_in;  // pinned staging writes
-        RecordPhase(std::move(stage), obs::kCatCpu, profile, trace);
-
-        PhaseRecord gpu;
-        gpu.kind = PhaseRecord::Kind::kGpu;
-        gpu.label = "groupby-kernel";
-        gpu.device_time = stats.transfer_in + stats.table_init +
-                          stats.kernel_time + stats.transfer_out;
-        gpu.device_mem = stats.device_bytes_reserved;
-        gpu.device_id = device.value()->id();
-        gpu.bytes_moved = stats.bytes_in + stats.bytes_out;  // PCIe traffic
-        // The device job breaks into timestamped sub-spans instead of one
-        // opaque trace block (the profile keeps the aggregate phase).
-        const char* kernel_name =
-            stats.fused
-                ? gpusim::GroupByKernelKindFusedName(stats.kernel_used)
-                : gpusim::GroupByKernelKindName(stats.kernel_used);
-        trace->AddPhase("transfer-in", obs::kCatTransfer, stats.transfer_in,
-                        gpu.device_id,
-                        {{"bytes", std::to_string(stats.bytes_in)}});
-        trace->AddPhase("hash-init", obs::kCatGpu, stats.table_init,
-                        gpu.device_id);
-        trace->AddPhase(std::string("kernel:") + kernel_name,
-                        obs::kCatKernel, stats.kernel_time, gpu.device_id,
-                        {{"retries", std::to_string(stats.retries)}});
-        trace->AddPhase("transfer-out", obs::kCatTransfer,
-                        stats.transfer_out, gpu.device_id,
-                        {{"bytes", std::to_string(stats.bytes_out)}});
-        trace->Annotate("kernel", kernel_name);
-        trace->Annotate("fusion", stats.fused ? "on" : "off");
-        trace->Annotate("bytes_h2d", std::to_string(stats.bytes_in));
-        trace->Annotate("bytes_d2h", std::to_string(stats.bytes_out));
-        if (stats.fused) {
-          trace->Annotate("bytes_staged_avoided",
-                          std::to_string(stats.bytes_avoided));
-        }
-        gpu.elapsed = gpu.IdleElapsed(cost_.HostParallelFactor(gpu.dop));
-        profile->phases.push_back(std::move(gpu));
-        metrics_
-            .GetCounter("blusim_moderator_kernel_total",
-                        {{"kernel", kernel_name}},
-                        "Group-by kernel executions by moderator choice")
-            ->Add(1);
-        metrics_
-            .GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
-                        "Host-to-device bytes moved (true wire sizes)")
-            ->Add(stats.bytes_in);
-        metrics_
-            .GetCounter("blusim_bytes_d2h_total", {{"op", "groupby"}},
-                        "Device-to-host bytes moved (true wire sizes)")
-            ->Add(stats.bytes_out);
-        metrics_
-            .GetCounter("blusim_bytes_staged_avoided_total",
-                        {{"op", "groupby"}},
-                        "Staged bytes data-path fusion avoided shipping "
-                        "versus SoA staging of the same survivor rows")
-            ->Add(stats.bytes_avoided);
-
-        trace->Annotate("actual_groups",
-                        std::to_string(gpu_out->table->num_rows()));
-        outcome.table = gpu_out->table;
-        outcome.gpu_used = true;
-        return outcome;
+      instruments_.budget_capped->Add(1);
+      status =
+          Status::CapacityExceeded("reservation exceeds the per-query budget");
+    } else {
+      groupby::PartitionedStats pstats;
+      auto out = groupby::PartitionedGroupBy::Execute(
+          plan, &scheduler_, &pinned_, &pool_, selection,
+          one_partition ? groupby::Fanout::kOnePartition
+                        : groupby::Fanout::kHashPartitioned,
+          popts, &pstats);
+      RecordDeviceGroupBy(pstats, out, profile, trace);
+      if (out.ok()) {
+        profile->gpu_used =
+            std::any_of(pstats.chunks.begin(), pstats.chunks.end(),
+                        [](const auto& c) { return c.on_gpu; });
+        if (!profile->gpu_used) profile->degraded = true;
+        return out->table;
       }
-      if (!gpu_out.status().IsRecoverableOnHost() &&
-          gpu_out.status().code() != StatusCode::kNotSupported &&
-          gpu_out.status().code() != StatusCode::kEstimateTooLow) {
-        return gpu_out.status();
-      }
-      // Recoverable device failure: fall through to the CPU chain.
+      status = out.status();
     }
-    // GPU-routed but not executed on the device: graceful degradation.
+    // A budget cap or a device failure the host can absorb degrades to the
+    // CPU chain; any other error is the query's.
+    if (!status.IsRecoverableOnHost()) return status;
     profile->groupby_path = ExecutionPath::kCpu;
     profile->degraded = true;
-    outcome.path = ExecutionPath::kCpu;
-    trace->Annotate("groupby_fallback", over_budget ? "budget" : "cpu");
-    metrics_
-        .GetCounter("blusim_router_groupby_fallbacks_total", {},
-                    "GPU-routed group-bys that fell back to the CPU chain")
-        ->Add(1);
+    trace->Annotate("groupby_fallback", over_budget     ? "budget"
+                                        : one_partition ? "cpu"
+                                                        : "partitioned");
+    instruments_.groupby_fallbacks->Add(1);
   }
 
   // CPU chain (baseline figure-1 path; also the fallback and the
@@ -682,17 +474,131 @@ Result<Engine::GroupByOutcome> Engine::RunGroupBy(
   BLUSIM_RETURN_NOT_OK(cpu_out.status());
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
 
-  PhaseRecord phase;
-  phase.kind = PhaseRecord::Kind::kCpu;
-  phase.label = "groupby-cpu";
-  phase.cpu_work = cost_.HostGroupByTime(
-      selection->size(), cpu_out->num_groups,
-      static_cast<int>(plan.slots().size()), 1);
-  phase.dop = config_.query_dop;
-  RecordPhase(std::move(phase), obs::kCatCpu, profile, trace);
+  RecordPhase(CpuPhase("groupby-cpu",
+                       cost_.HostGroupByTime(
+                           selection->size(), cpu_out->num_groups,
+                           static_cast<int>(plan.slots().size()), 1),
+                       config_.query_dop),
+              obs::kCatCpu, profile, trace);
 
-  outcome.table = cpu_out->table;
-  return outcome;
+  return cpu_out->table;
+}
+
+void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
+                                 const Result<runtime::GroupByOutput>& out,
+                                 QueryProfile* profile,
+                                 obs::TraceBuilder* trace) {
+  const bool partitioned = stats.num_partitions > 1;
+  if (!partitioned && !stats.chunks.empty() &&
+      stats.chunks.front().wait_time > 0) {
+    // A blocked agent holds its thread while polling for device memory,
+    // so the wait is charged as a dop-1 phase (and shows up as a wait
+    // span in the trace), whether or not the device run followed.
+    RecordPhase(CpuPhase("reservation-wait", stats.chunks.front().wait_time, 1),
+                obs::kCatWait, profile, trace);
+  }
+  if (!out.ok()) return;
+
+  if (partitioned) {
+    // The partition sweep and the device chunks' host staging are pool
+    // work charged at query dop. The CPU and device lanes run
+    // concurrently, so one umbrella phase carries max(CPU lane, slowest
+    // device lane) and the per-chunk phases are recorded `overlapped` --
+    // visible in ExplainAnalyze for attribution but excluded from elapsed
+    // sums and the concurrency replay.
+    RecordPhase(CpuPhase("groupby-partition-plan", stats.partition_time,
+                         config_.query_dop),
+                obs::kCatCpu, profile, trace);
+  }
+  uint64_t bytes_in = 0;
+  uint64_t bytes_out = 0;
+  uint64_t bytes_avoided = 0;
+  uint64_t gpu_chunks = 0;
+  uint64_t fallbacks = 0;
+  for (const auto& chunk : stats.chunks) {
+    if (!chunk.on_gpu) {
+      if (chunk.gpu_fallback) ++fallbacks;
+      PhaseRecord cp = CpuPhase("groupby-partition-cpu",
+                                chunk.wait_time + chunk.cpu_time, 1);
+      cp.overlapped = true;
+      RecordPhase(std::move(cp), obs::kCatCpu, profile, trace);
+      continue;
+    }
+    ++gpu_chunks;
+    bytes_in += chunk.gpu.bytes_in;
+    bytes_out += chunk.gpu.bytes_out;
+    bytes_avoided += chunk.gpu.bytes_avoided;
+    instruments_
+        .kernel[static_cast<int>(chunk.gpu.kernel_used) - 1][chunk.gpu.fused]
+        ->Add(1);
+    if (!partitioned) continue;
+    PhaseRecord gp = DevicePhase("groupby-partition", chunk, chunk.wait_time);
+    gp.overlapped = true;
+    RecordPhase(std::move(gp), obs::kCatGpu, profile, trace);
+  }
+
+  // Host staging (chain + MEMCPY, or the fused one-sweep scan + encode +
+  // pinned write) of every device chunk, pooled at query dop.
+  if (!partitioned || stats.stage_time > 0) {
+    PhaseRecord stage =
+        CpuPhase(partitioned ? "groupby-partition-stage" : "groupby-stage",
+                 stats.stage_time, config_.query_dop);
+    stage.bytes_moved = bytes_in;  // pinned staging writes
+    RecordPhase(std::move(stage), obs::kCatCpu, profile, trace);
+  }
+  if (partitioned) {
+    RecordPhase(CpuPhase("groupby-partitioned",
+                         std::max(stats.cpu_lane_time, stats.gpu_lane_time), 1),
+                obs::kCatCpu, profile, trace);
+    RecordPhase(CpuPhase("groupby-merge", stats.merge_time, 1), obs::kCatCpu,
+                profile, trace);
+
+    instruments_.partitioned_queries->Add(1);
+    instruments_.partitioned_chunks[kGpuSide]->Add(gpu_chunks);
+    instruments_.partitioned_chunks[kCpuSide]->Add(stats.chunks.size() -
+                                                   gpu_chunks);
+    instruments_.partitioned_rows[kGpuSide]->Add(stats.gpu_rows);
+    instruments_.partitioned_rows[kCpuSide]->Add(stats.cpu_rows);
+    instruments_.partitioned_gpu_fallbacks->Add(fallbacks);
+    instruments_.partitioned_cpu_split->Observe(
+        static_cast<uint64_t>(stats.cpu_split_fraction * 100.0));
+    trace->Annotate("partitions", std::to_string(stats.num_partitions));
+    trace->Annotate("cpu_split", std::to_string(stats.cpu_split_fraction));
+  } else {
+    // The device job, less its reservation wait (a phase of its own). While
+    // the kernel runs, the host threads are released (the off-load benefit
+    // the concurrency experiments measure). The job breaks into timestamped
+    // sub-spans instead of one opaque trace block (the profile keeps the
+    // aggregate phase).
+    const groupby::PartitionChunkStats& chunk = stats.chunks.front();
+    const groupby::GpuGroupByStats& g = chunk.gpu;
+    PhaseRecord gpu = DevicePhase("groupby-kernel", chunk, 0);
+    const char* kernel_name =
+        g.fused ? gpusim::GroupByKernelKindFusedName(g.kernel_used)
+                : gpusim::GroupByKernelKindName(g.kernel_used);
+    trace->AddPhase("transfer-in", obs::kCatTransfer, g.transfer_in,
+                    gpu.device_id, {{"bytes", std::to_string(g.bytes_in)}});
+    trace->AddPhase("hash-init", obs::kCatGpu, g.table_init, gpu.device_id);
+    trace->AddPhase(std::string("kernel:") + kernel_name, obs::kCatKernel,
+                    g.kernel_time, gpu.device_id,
+                    {{"retries", std::to_string(g.retries)}});
+    trace->AddPhase("transfer-out", obs::kCatTransfer, g.transfer_out,
+                    gpu.device_id, {{"bytes", std::to_string(g.bytes_out)}});
+    trace->Annotate("kernel", kernel_name);
+    trace->Annotate("fusion", g.fused ? "on" : "off");
+    trace->Annotate("bytes_h2d", std::to_string(g.bytes_in));
+    trace->Annotate("bytes_d2h", std::to_string(g.bytes_out));
+    if (g.fused) {
+      trace->Annotate("bytes_staged_avoided",
+                      std::to_string(g.bytes_avoided));
+    }
+    gpu.elapsed = gpu.IdleElapsed(cost_.HostParallelFactor(gpu.dop));
+    profile->phases.push_back(std::move(gpu));
+  }
+  instruments_.bytes_h2d->Add(bytes_in);
+  instruments_.bytes_d2h->Add(bytes_out);
+  instruments_.bytes_staged_avoided->Add(bytes_avoided);
+  trace->Annotate("actual_groups", std::to_string(out->table->num_rows()));
 }
 
 Result<QueryResult> Engine::Execute(const QuerySpec& query,
@@ -711,12 +617,8 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   if (opts.admission_wait > 0) {
     // Time spent queued before admission; charged dop-1 so the trace and
     // profile show end-to-end latency, not just post-admission work.
-    PhaseRecord adm;
-    adm.kind = PhaseRecord::Kind::kCpu;
-    adm.label = "admission-wait";
-    adm.cpu_work = opts.admission_wait;
-    adm.dop = 1;
-    RecordPhase(std::move(adm), obs::kCatWait, &profile, &trace);
+    RecordPhase(CpuPhase("admission-wait", opts.admission_wait, 1),
+                obs::kCatWait, &profile, &trace);
   }
 
   // --- Scan + filter the fact table ---
@@ -731,16 +633,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   std::vector<uint32_t> selection;
   if (!defer_scan) {
     BLUSIM_ASSIGN_OR_RETURN(
-        selection, runtime::FilterScan(*fact, query.fact_filters, &pool_));
-    PhaseRecord scan;
-    scan.kind = PhaseRecord::Kind::kCpu;
-    scan.label = "scan";
-    scan.cpu_work = cost_.HostScanTime(
-        fact->num_rows(),
-        query.fact_filters.empty() ? 4 : ScanWidth(*fact, query.fact_filters),
-        1);
-    scan.dop = config_.query_dop;
-    RecordPhase(std::move(scan), obs::kCatCpu, &profile, &trace);
+        selection, ScanFact(*fact, query.fact_filters, &profile, &trace));
   }
 
   // --- Star joins (semi-join reduction of the fact selection) ---
@@ -762,14 +655,12 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
         runtime::JoinResult joined,
         runtime::HashJoin(*fact, *dim, spec, &pool_, &selection,
                           dim_sel_ptr));
-    PhaseRecord jp;
-    jp.kind = PhaseRecord::Kind::kCpu;
-    jp.label = "join-" + join.dim_table;
-    jp.cpu_work = cost_.HostJoinTime(
-        dim_sel_ptr ? dim_selection.size() : dim->num_rows(),
-        selection.size(), 1);
-    jp.dop = config_.query_dop;
-    RecordPhase(std::move(jp), obs::kCatCpu, &profile, &trace);
+    RecordPhase(CpuPhase("join-" + join.dim_table,
+                         cost_.HostJoinTime(dim_sel_ptr ? dim_selection.size()
+                                                        : dim->num_rows(),
+                                            selection.size(), 1),
+                         config_.query_dop),
+                obs::kCatCpu, &profile, &trace);
     selection = std::move(joined.fact_rows);
   }
 
@@ -778,11 +669,8 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   // --- Group by / aggregation ---
   if (query.groupby.has_value()) {
     BLUSIM_ASSIGN_OR_RETURN(
-        GroupByOutcome outcome,
-        RunGroupBy(query, *fact, defer_scan ? nullptr : &selection, opts,
-                   &profile, &trace));
-    profile.gpu_used = profile.gpu_used || outcome.gpu_used;
-    result = outcome.table;
+        result, RunGroupBy(query, *fact, defer_scan ? nullptr : &selection,
+                           opts, &profile, &trace));
   }
 
   // --- Order by ---
@@ -798,12 +686,9 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           sort::HybridSorter::Sort(*result, query.order_by, options,
                                    &stats));
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*result, perm, {}));
-      PhaseRecord sp;
-      sp.kind = PhaseRecord::Kind::kCpu;
-      sp.label = "sort-result";
-      sp.cpu_work = cost_.HostSortTime(perm.size(), 1);
-      sp.dop = config_.query_dop;
-      RecordPhase(std::move(sp), obs::kCatCpu, &profile, &trace);
+      RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(perm.size(), 1),
+                           config_.query_dop),
+                  obs::kCatCpu, &profile, &trace);
       profile.sort_path = ExecutionPath::kCpu;
     } else {
       // Sorting the selected fact rows: hybrid CPU/GPU sort.
@@ -816,23 +701,14 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       // memory (too many rows, or a footprint beyond every device) stay on
       // the CPU instead of failing at reservation time.
       ExecutionPath path = ChooseSortPath(
-          base->num_rows(), sort_bytes, config_.thresholds,
-          !devices_.empty(),
-          devices_.empty() ? 0 : MinDeviceMemory(devices_));
-      if (path == ExecutionPath::kGpu &&
-          ((opts.device_budget_bytes > 0 &&
-            sort_bytes > opts.device_budget_bytes) ||
-           (opts.pinned_budget_bytes > 0 &&
-            sort_bytes > opts.pinned_budget_bytes))) {
+          base->num_rows(), sort_bytes, config_.thresholds, !devices_.empty(),
+          scheduler_.min_device_memory());
+      if (path == ExecutionPath::kGpu && OverBudget(sort_bytes, opts)) {
         // Per-query budget cap (serving layer): degrade to the CPU sort.
         path = ExecutionPath::kCpu;
         profile.degraded = true;
         trace.Annotate("sort_fallback", "budget");
-        metrics_
-            .GetCounter("blusim_router_budget_capped_total", {},
-                        "GPU placements re-routed to the CPU by per-query "
-                        "memory budgets")
-            ->Add(1);
+        instruments_.budget_capped->Add(1);
       }
       profile.sort_path = path;
       trace.Annotate("sort_path", ExecutionPathName(path));
@@ -863,13 +739,11 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           sort::HybridSorter::Sort(*base, query.order_by, options, &stats));
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*base, perm, {}));
 
-      PhaseRecord keygen;
-      keygen.kind = PhaseRecord::Kind::kCpu;
-      keygen.label = "sort-keygen";
-      keygen.cpu_work = cost_.HostKeyGenTime(base->num_rows(), 1) +
-                        stats.cpu_sort_time;
-      keygen.dop = config_.query_dop;
-      RecordPhase(std::move(keygen), obs::kCatCpu, &profile, &trace);
+      RecordPhase(CpuPhase("sort-keygen",
+                           cost_.HostKeyGenTime(base->num_rows(), 1) +
+                               stats.cpu_sort_time,
+                           config_.query_dop),
+                  obs::kCatCpu, &profile, &trace);
       if (stats.jobs_gpu > 0 && gpu_possible) {
         PhaseRecord gp;
         gp.kind = PhaseRecord::Kind::kGpu;
@@ -888,12 +762,9 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   if (result == nullptr) {
     BLUSIM_ASSIGN_OR_RETURN(
         result, MaterializeRows(*fact, selection, query.projection));
-    PhaseRecord mp;
-    mp.kind = PhaseRecord::Kind::kCpu;
-    mp.label = "project";
-    mp.cpu_work = cost_.HostScanTime(selection.size(), 16, 1);
-    mp.dop = config_.query_dop;
-    RecordPhase(std::move(mp), obs::kCatCpu, &profile, &trace);
+    RecordPhase(CpuPhase("project", cost_.HostScanTime(selection.size(), 16, 1),
+                         config_.query_dop),
+                obs::kCatCpu, &profile, &trace);
   }
 
   // --- Limit ---
@@ -910,24 +781,12 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
     profile.total_elapsed += phase.elapsed;
   }
 
-  metrics_
-      .GetCounter("blusim_queries_total",
-                  {{"gpu", profile.gpu_used ? "true" : "false"}},
-                  "Queries executed, by whether any phase used a device")
-      ->Add(1);
+  instruments_.queries[profile.gpu_used]->Add(1);
   if (profile.degraded) {
-    metrics_
-        .GetCounter("blusim_queries_degraded_total", {},
-                    "Queries that re-routed a GPU-routed phase to the CPU "
-                    "after routing (budget, denial, or device failure)")
-        ->Add(1);
+    instruments_.queries_degraded->Add(1);
     trace.Annotate("degraded", "true");
   }
-  metrics_
-      .GetHistogram("blusim_query_elapsed_us",
-                    {{"class", QueryShapeName(query)}},
-                    "Serial elapsed time per query (simulated microseconds), "
-                    "by query shape class")
+  instruments_.query_elapsed.at(QueryShapeName(query))
       ->Observe(static_cast<uint64_t>(profile.total_elapsed));
   profile.trace = trace.Finish();
 

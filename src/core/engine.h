@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/table.h"
@@ -19,6 +20,7 @@
 #include "gpusim/sim_device.h"
 #include "groupby/gpu_groupby.h"
 #include "groupby/moderator.h"
+#include "groupby/partitioned.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -151,45 +153,64 @@ class Engine {
                               const ExecOptions& opts = ExecOptions());
 
  private:
-  struct GroupByOutcome {
-    std::shared_ptr<columnar::Table> table;
-    ExecutionPath path = ExecutionPath::kCpu;
-    bool gpu_used = false;
-  };
-
-  // Estimates the group count for routing (sample-based KMV; a workload
-  // hint in the spec would override it in a full optimizer).
-  uint64_t EstimateGroups(const runtime::GroupByPlan& plan,
-                          const std::vector<uint32_t>& selection) const;
-
-  // Routing estimates without a materialized selection (deferred-scan
-  // fusion): a strided sample of the fact table yields the predicate pass
-  // ratio and a sampled-KMV distinct count, scaled up when the sampled
-  // keys look near-unique (unbounded domain) and taken as-is otherwise.
-  OptimizerEstimates SampleEstimates(
-      const runtime::GroupByPlan& plan, const columnar::Table& fact,
-      const std::vector<runtime::Predicate>& filters) const;
-
   // `selection` == nullptr means the caller deferred the fact FilterScan
   // (data-path fusion): the group-by either folds the predicates into the
   // fused staging sweep, or materializes the selection itself (recording
-  // the scan phase) before any path that needs explicit row ids.
-  Result<GroupByOutcome> RunGroupBy(const QuerySpec& query,
-                                    const columnar::Table& fact,
-                                    const std::vector<uint32_t>* selection,
-                                    const ExecOptions& opts,
-                                    QueryProfile* profile,
-                                    obs::TraceBuilder* trace);
+  // the scan phase) before any path that needs explicit row ids. Returns
+  // the aggregated table; the profile records path, phases and device use.
+  Result<std::shared_ptr<columnar::Table>> RunGroupBy(
+      const QuerySpec& query, const columnar::Table& fact,
+      const std::vector<uint32_t>* selection, const ExecOptions& opts,
+      QueryProfile* profile, obs::TraceBuilder* trace);
+
+  // Records a device group-by from the driver's stats: a one-partition
+  // run's reservation wait (also when the run failed), then on success the
+  // phases, spans, annotations and counters of the fan-out that ran.
+  void RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
+                           const Result<runtime::GroupByOutput>& out,
+                           QueryProfile* profile, obs::TraceBuilder* trace);
+
+  // FilterScan over the fact table, recorded as the query's scan phase.
+  Result<std::vector<uint32_t>> ScanFact(
+      const columnar::Table& fact,
+      const std::vector<runtime::Predicate>& filters, QueryProfile* profile,
+      obs::TraceBuilder* trace);
 
   // Appends `phase` to the profile, stamps its serial elapsed time and
   // mirrors it as one span in the query trace.
   void RecordPhase(PhaseRecord phase, const char* category,
                    QueryProfile* profile, obs::TraceBuilder* trace);
 
+  // Every counter and histogram the engine updates per query, resolved
+  // once at construction so no query takes the registry mutex
+  // (obs/metrics.h). Every label set is finite, so each series exists, at
+  // zero, from construction.
+  struct Instruments {
+    explicit Instruments(obs::MetricsRegistry* metrics);
+
+    obs::Counter* router_groupby[3] = {};  // by ExecutionPath
+    obs::Counter* groupby_fallbacks = nullptr;
+    obs::Counter* budget_capped = nullptr;
+    obs::Counter* kernel[3][2] = {};  // by GroupByKernelKind - 1, fused
+    obs::Counter* bytes_h2d = nullptr;
+    obs::Counter* bytes_d2h = nullptr;
+    obs::Counter* bytes_staged_avoided = nullptr;
+    obs::Counter* partitioned_queries = nullptr;
+    obs::Counter* partitioned_chunks[2] = {};  // by side: gpu, cpu
+    obs::Counter* partitioned_rows[2] = {};
+    obs::Counter* partitioned_gpu_fallbacks = nullptr;
+    obs::Histogram* partitioned_cpu_split = nullptr;
+    obs::Counter* queries[2] = {};  // by gpu_used
+    obs::Counter* queries_degraded = nullptr;
+    // By QueryShapeName.
+    std::map<std::string_view, obs::Histogram*> query_elapsed;
+  };
+
   EngineConfig config_;
   gpusim::CostModel cost_;
   // Declared before the components so they can register instruments.
   obs::MetricsRegistry metrics_;
+  const Instruments instruments_;
   // Declared before the devices/pinned pool it is attached to, so it
   // outlives every allocation it tracks.
   std::unique_ptr<gpusim::DeviceChecker> checker_;

@@ -1,6 +1,7 @@
 #ifndef BLUSIM_CORE_QUERY_H_
 #define BLUSIM_CORE_QUERY_H_
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,6 +58,10 @@ inline const char* QueryShapeName(const QuerySpec& query) {
   if (!query.order_by.empty()) return "sort";
   return "simple";
 }
+
+// Every value QueryShapeName returns.
+inline constexpr std::array<const char*, 4> kQueryShapeNames = {
+    "join", "groupby", "sort", "simple"};
 
 }  // namespace blusim::core
 

@@ -312,17 +312,20 @@ SimTime CostModel::PartitionedTime(const PartitionedShape& s,
   // The runtime assigns whole partitions to the CPU lane, so a continuous
   // fraction is unreachable: quantize to the nearest partition count, like
   // the pre-assignment loop does, before costing either lane.
-  if (s.num_partitions > 0) {
-    f = std::round(f * static_cast<double>(s.num_partitions)) /
-        static_cast<double>(s.num_partitions);
-  }
+  const uint32_t parts = std::max<uint32_t>(1, s.num_partitions);
+  f = std::round(f * static_cast<double>(parts)) / static_cast<double>(parts);
   const double host_factor = HostParallelFactor(std::max(1, s.cpu_dop));
+  // One partition is the plain single-device run: no sweep, no merge.
+  const bool partitioned = parts > 1;
 
   // Hash-partition sweep: one key hash plus a 4-byte row-id scatter per
   // selected row, parallel on the host like every other prep phase.
-  double total = (static_cast<double>(HostKeyGenTime(s.rows, 1)) +
-                  static_cast<double>(HostMemcpyTime(s.rows * 4))) /
-                 host_factor;
+  double total = 0.0;
+  if (partitioned) {
+    total += (static_cast<double>(HostKeyGenTime(s.rows, 1)) +
+              static_cast<double>(HostMemcpyTime(s.rows * 4))) /
+             host_factor;
+  }
 
   const uint64_t cpu_rows =
       static_cast<uint64_t>(f * static_cast<double>(s.rows));
@@ -347,39 +350,21 @@ SimTime CostModel::PartitionedTime(const PartitionedShape& s,
               static_cast<double>(
                   HostMemcpyTime(gpu_rows * s.gpu_bytes_per_row))) /
              host_factor;
-    uint64_t chunks_per_lane;
-    uint64_t chunk_rows;
-    uint64_t chunk_groups;
-    if (s.num_partitions > 0) {
-      // Mirror the runtime's placement: the CPU share is carved out in
-      // whole partitions, the rest drain across the device lanes as one
-      // chunk per partition -- so every chunk pays its own table init,
-      // kernel launch, and readback. Note chunk_groups stays groups /
-      // num_partitions for any f: the runtime sizes per-chunk tables from
-      // the whole-table estimate divided by the fan-out.
-      const uint64_t gpu_parts = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 (1.0 - f) * static_cast<double>(s.num_partitions) + 0.5));
-      chunks_per_lane =
-          CeilDiv(gpu_parts, static_cast<uint64_t>(s.num_devices));
-      chunk_rows = CeilDiv(gpu_rows, gpu_parts);
-      chunk_groups = std::max<uint64_t>(
-          1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(s.groups)) /
-                 gpu_parts);
-    } else {
-      // Legacy shape without a fan-out: one maximal chunk per device.
-      const uint64_t per_dev =
-          CeilDiv(gpu_rows, static_cast<uint64_t>(s.num_devices));
-      const uint64_t cap = s.max_rows_per_chunk > 0
-                               ? std::min(s.max_rows_per_chunk, per_dev)
-                               : per_dev;
-      const uint64_t chunks = CeilDiv(per_dev, std::max<uint64_t>(1, cap));
-      chunks_per_lane = chunks;
-      chunk_rows = CeilDiv(per_dev, chunks);
-      chunk_groups = std::max<uint64_t>(
-          1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(s.groups)) /
-                 (static_cast<uint64_t>(s.num_devices) * chunks));
-    }
+    // Mirror the runtime's placement: the CPU share is carved out in whole
+    // partitions, the rest drain across the device lanes as one chunk per
+    // partition -- so every chunk pays its own table init, kernel launch,
+    // and readback. Note chunk_groups stays groups / num_partitions for
+    // any f: the runtime sizes per-chunk tables from the whole-table
+    // estimate divided by the fan-out.
+    const uint64_t gpu_parts = std::max<uint64_t>(
+        1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(parts) +
+                                 0.5));
+    const uint64_t chunks_per_lane =
+        CeilDiv(gpu_parts, static_cast<uint64_t>(s.num_devices));
+    const uint64_t chunk_rows = CeilDiv(gpu_rows, gpu_parts);
+    const uint64_t chunk_groups = std::max<uint64_t>(
+        1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(s.groups)) /
+               gpu_parts);
     const uint64_t table_bytes =
         ModelTableCapacity(chunk_groups) * std::max<uint64_t>(8, s.entry_bytes);
     GroupByKernelParams p;
@@ -404,9 +389,11 @@ SimTime CostModel::PartitionedTime(const PartitionedShape& s,
 
   // Merge: partitions are disjoint in group space, so the merge is a
   // concatenation pass over the final group entries, not a re-hash.
-  total += static_cast<double>(HostMemcpyTime(
-               s.groups * std::max<uint64_t>(8, s.entry_bytes))) +
-           static_cast<double>(s.groups) * 0.004;  // ~4 ns/group bookkeeping
+  if (partitioned) {
+    total += static_cast<double>(HostMemcpyTime(
+                 s.groups * std::max<uint64_t>(8, s.entry_bytes))) +
+             static_cast<double>(s.groups) * 0.004;  // ~4 ns/group
+  }
   return static_cast<SimTime>(total + 0.5);
 }
 
@@ -414,9 +401,8 @@ double CostModel::ChoosePartitionedCpuFraction(
     const PartitionedShape& s) const {
   if (s.num_devices <= 0) return 1.0;
   // Sweep the fractions the runtime can actually realize: whole CPU
-  // partition counts when the fan-out is known, a 1/16 grid otherwise.
-  const int steps =
-      s.num_partitions > 0 ? static_cast<int>(s.num_partitions) : 16;
+  // partition counts.
+  const int steps = static_cast<int>(std::max<uint32_t>(1, s.num_partitions));
   double best_f = 0.0;
   SimTime best_t = PartitionedTime(s, 0.0);
   for (int i = 1; i <= steps; ++i) {
@@ -428,33 +414,6 @@ double CostModel::ChoosePartitionedCpuFraction(
     }
   }
   return best_f;
-}
-
-SimTime CostModel::SingleDeviceGroupByTime(const PartitionedShape& s) const {
-  if (s.rows == 0) return 0;
-  const double host_factor = HostParallelFactor(std::max(1, s.cpu_dop));
-  double total = (static_cast<double>(HostKeyGenTime(s.rows, 1)) +
-                  static_cast<double>(
-                      HostMemcpyTime(s.rows * s.gpu_bytes_per_row))) /
-                 host_factor;
-  const uint64_t table_bytes =
-      ModelTableCapacity(s.groups) * std::max<uint64_t>(8, s.entry_bytes);
-  GroupByKernelParams p;
-  p.rows = s.rows;
-  p.groups = s.groups;
-  p.num_aggregates = s.num_aggregates;
-  p.key_bytes = s.key_bytes;
-  p.payload_bytes = s.payload_bytes;
-  p.record_bytes = s.fused ? s.record_bytes : 0;
-  const SimTime kernel =
-      s.fused ? FusedScanAggregateTime(GroupByKernelKind::kRegular, p)
-              : GroupByKernelTime(GroupByKernelKind::kRegular, p);
-  total += static_cast<double>(
-               TransferTime(s.rows * s.gpu_bytes_per_row, true)) +
-           static_cast<double>(HashTableInitTime(table_bytes)) +
-           static_cast<double>(kernel) +
-           static_cast<double>(TransferTime(table_bytes, true));
-  return static_cast<SimTime>(total + 0.5);
 }
 
 SimTime CostModel::HostFusedStageTime(uint64_t rows_scanned,

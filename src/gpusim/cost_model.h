@@ -39,7 +39,8 @@ struct GroupByKernelParams {
 
 // Shape of a partitioned CPU+GPU group-by execution, feeding
 // CostModel::PartitionedTime / ChoosePartitionedCpuFraction and the
-// router's partitioned-vs-single-device upgrade decision
+// router's partitioned-vs-single-device upgrade decision, which prices
+// the single-device run as the same shape at one partition
 // (docs/partitioned_execution.md).
 struct PartitionedShape {
   uint64_t rows = 0;            // selected input rows
@@ -50,12 +51,10 @@ struct PartitionedShape {
   uint64_t gpu_bytes_per_row = 0;  // staged wire bytes per device-bound row
   int record_bytes = 0;         // fused record stride (0 = SoA staging)
   uint64_t entry_bytes = 0;     // device hash-table entry bytes (readback)
-  uint64_t max_rows_per_chunk = 0;  // device chunk bound (0 = unbounded)
-  uint32_t num_partitions = 0;  // hash-partition fan-out (0 = derive from
-                                // max_rows_per_chunk, legacy behaviour)
+  uint64_t max_rows_per_chunk = 0;  // device chunk bound (0 = none fits)
+  uint32_t num_partitions = 1;  // hash-partition fan-out (1 = one device)
   int num_devices = 0;
   int cpu_dop = 1;              // DB2 degree of parallelism, CPU lane
-  int stage_dop = 1;            // thread-pool parallelism for staging
   bool fused = true;            // device chunks use the fused record path
 };
 
@@ -140,18 +139,15 @@ class CostModel {
   // where the CPU lane takes `cpu_fraction` of the rows and `num_devices`
   // device lanes drain the rest: partition sweep + max(CPU lane, slowest
   // device lane) + concatenation merge. Mirrors the engine's phase
-  // accounting (host prep charged at cpu_dop parallelism).
+  // accounting (host prep charged at cpu_dop parallelism). At one
+  // partition and fraction 0 it is the single-device run: stage +
+  // transfer + init + kernel + readback, with no sweep and no merge.
   SimTime PartitionedTime(const PartitionedShape& shape,
                           double cpu_fraction) const;
 
-  // Argmin of PartitionedTime over a 1/16-step fraction grid. Returns 1.0
-  // (all-CPU) when the shape has no devices.
+  // Argmin of PartitionedTime over the whole-partition CPU shares 0/P ..
+  // P/P. Returns 1.0 (all-CPU) when the shape has no devices.
   double ChoosePartitionedCpuFraction(const PartitionedShape& shape) const;
-
-  // Modeled time of the same query on one device, unpartitioned (stage +
-  // transfer + init + kernel + readback); the router's upgrade comparison
-  // baseline. Ignores max_rows_per_chunk (assumes the input fits).
-  SimTime SingleDeviceGroupByTime(const PartitionedShape& shape) const;
 
  private:
   HostSpec host_;

@@ -163,13 +163,6 @@ Status RunKernel(SimDevice* device, GroupByKernelKind kind,
   return Status::InvalidArgument("unknown kernel kind");
 }
 
-// Stable kernel names live next to the cost model so the monitor, the
-// metrics registry and the trace exporters all agree on them.
-const char* KernelName(GroupByKernelKind kind, bool fused) {
-  return fused ? gpusim::GroupByKernelKindFusedName(kind)
-               : gpusim::GroupByKernelKindName(kind);
-}
-
 }  // namespace
 
 uint64_t GpuGroupBy::DeviceBytesNeeded(const GroupByPlan& plan, uint64_t rows,
@@ -240,16 +233,14 @@ StageMode GpuGroupBy::ChooseStageMode(const GroupByPlan& plan,
 Result<GroupByOutput> GpuGroupBy::Execute(
     const GroupByPlan& plan, SimDevice* device,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-    GpuModerator* moderator, const std::vector<uint32_t>* selection,
+    GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_ASSIGN_OR_RETURN(
-      RawOutput raw,
-      ExecuteToGroups(plan, device, pinned_pool, thread_pool, moderator,
-                      selection, options, stats));
+      RawOutput raw, ExecuteToGroups(plan, device, pinned_pool, thread_pool,
+                                     selection, options, stats));
   GroupByOutput out;
   out.num_groups = raw.groups.size();
   out.kmv_estimate = raw.kmv_estimate;
-  out.input_rows = raw.input_rows;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
                           runtime::MaterializeGroups(plan, raw.groups));
   return out;
@@ -258,7 +249,7 @@ Result<GroupByOutput> GpuGroupBy::Execute(
 Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     const GroupByPlan& plan, SimDevice* device,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-    GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
+    const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_CHECK(stats != nullptr);
   *stats = GpuGroupByStats{};
@@ -377,7 +368,10 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
                                    : cost.GroupByKernelTime(chosen, kp);
     BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
     stats->kernel_time += t;
-    device->AccountKernel(KernelName(chosen, staged.fused), t);
+    device->AccountKernel(staged.fused
+                              ? gpusim::GroupByKernelKindFusedName(chosen)
+                              : gpusim::GroupByKernelKindName(chosen),
+                          t);
     stats->kernel_used = chosen;
     stats->table_capacity = capacity;
 
@@ -411,7 +405,6 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
       }
     }
     out.kmv_estimate = staged.kmv_estimate;
-    out.input_rows = rows;
     return out;
   }
   return Status::Internal("unreachable: retry loop exited");

@@ -79,18 +79,18 @@ class GpuGroupBy {
       GpuModerator* moderator, const std::vector<uint32_t>* selection,
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
-  // Raw variant used by the partitioned path: returns the un-materialized
-  // group entries plus the KMV estimate so the caller can merge partial
-  // results from several device chunks before materializing once.
+  // Raw variant used by the partitioned driver: returns the
+  // un-materialized group entries plus the KMV estimate so the caller can
+  // merge partial results from several device chunks before materializing
+  // once.
   struct RawOutput {
     std::vector<runtime::GroupEntry> groups;
     uint64_t kmv_estimate = 0;
-    uint64_t input_rows = 0;
   };
   static Result<RawOutput> ExecuteToGroups(
       const runtime::GroupByPlan& plan, gpusim::SimDevice* device,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-      GpuModerator* moderator, const std::vector<uint32_t>* selection,
+      const std::vector<uint32_t>* selection,
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
   // Device bytes a group-by on `rows` input rows with `capacity` hash

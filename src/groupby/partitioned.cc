@@ -20,7 +20,6 @@ namespace blusim::groupby {
 using runtime::GroupByOutput;
 using runtime::GroupByPlan;
 using runtime::GroupEntry;
-using runtime::WideKey;
 
 namespace {
 
@@ -33,32 +32,12 @@ constexpr uint32_t kMinPartitionsPerDevice = 4;
 constexpr uint32_t kMinPartitions = 8;
 constexpr uint32_t kMaxPartitions = 1024;
 
-// The group-key hash that decides a row's partition. Any fixed hash works
-// for correctness -- all that matters is that equal keys land in the same
-// partition, which makes the partitions disjoint in group space and the
-// final merge a concatenation.
-uint64_t PartitionHash(const GroupByPlan& plan, uint32_t row) {
-  if (plan.wide_key()) {
-    WideKey wk;
-    plan.FillWideKey(row, &wk);
-    return Murmur3_64(wk.bytes, wk.len);
-  }
-  return Mix64(plan.PackKey(row));
-}
-
-// Per-partition execution record; each slot is owned by exactly one worker
+// Per-partition execution state; each slot is owned by exactly one worker
 // (the one that popped its partition id), so no locking beyond the queue
 // pop/join edges is needed.
 struct PartitionSlot {
   bool used = false;
-  bool on_gpu = false;
-  bool gpu_fallback = false;
-  int device_id = -1;
-  uint64_t task_tag = 0;
-  SimTime wait = 0;
-  SimTime cpu_time = 0;
-  GpuGroupByStats gpu;
-  uint64_t groups_found = 0;
+  PartitionChunkStats chunk;  // the record Execute returns for it
   uint64_t kmv = 0;
   // Exactly one of these holds the partition's partial result.
   std::vector<GroupEntry> gpu_groups;
@@ -66,8 +45,8 @@ struct PartitionSlot {
 };
 
 // Shared work-queue state. Device lanes pop the front (largest remaining
-// partition); the CPU lane runs only its pre-assigned share. The mutex is never held across partition
-// work -- pop, release, execute.
+// partition); the CPU lane runs only its pre-assigned share. The mutex is
+// never held across partition work -- pop, release, execute.
 struct WorkQueue {
   common::Mutex mu{"groupby.Partitioned.queue_mu", common::LockRank::kExec};
   std::deque<uint32_t> device_queue GUARDED_BY(mu);
@@ -98,7 +77,67 @@ uint32_t ChooseFanOut(const GroupByPlan& plan, uint64_t rows, uint64_t groups,
   return p;
 }
 
+// Device bytes one chunk reserves: its staged inputs in `mode` plus a hash
+// table sized for `groups`.
+uint64_t ChunkBytesNeeded(const GroupByPlan& plan, StageMode mode,
+                          uint64_t rows, uint64_t groups) {
+  const uint64_t capacity = ChooseCapacity(groups);
+  return mode == StageMode::kFusedRecords
+             ? GpuGroupBy::FusedDeviceBytesNeeded(plan, rows, capacity)
+             : GpuGroupBy::DeviceBytesNeeded(plan, rows, capacity);
+}
+
+// Runs one chunk on a device placed through the scheduler's FIFO-ticket
+// reservation wait. `gpu` carries the chunk's own row and group estimates,
+// which size the reservation. A failure returns its status with the wait
+// already recorded in `slot`.
+Status RunDeviceChunk(const GroupByPlan& plan, sched::GpuScheduler* scheduler,
+                      gpusim::PinnedHostPool* pinned_pool,
+                      runtime::ThreadPool* thread_pool, StageMode mode,
+                      const std::vector<uint32_t>* selection,
+                      const GpuGroupByOptions& gpu,
+                      const sched::WaitOptions& wait, PartitionSlot* slot) {
+  SimTime waited = 0;
+  auto pick = scheduler->PickDeviceWithWait(
+      ChunkBytesNeeded(plan, mode, gpu.estimated_rows, gpu.estimated_groups),
+      &waited, wait);
+  slot->chunk.wait_time = waited;
+  BLUSIM_RETURN_NOT_OK(pick.status());
+  slot->chunk.device_id = pick.value()->id();
+  BLUSIM_ASSIGN_OR_RETURN(
+      GpuGroupBy::RawOutput raw,
+      GpuGroupBy::ExecuteToGroups(plan, pick.value(), pinned_pool,
+                                  thread_pool, selection, gpu,
+                                  &slot->chunk.gpu));
+  slot->gpu_groups = std::move(raw.groups);
+  slot->chunk.groups = slot->gpu_groups.size();
+  slot->kmv = raw.kmv_estimate;
+  slot->chunk.on_gpu = true;
+  return Status::OK();
+}
+
+// Appends a used slot's record to the stats and adds it to its side's
+// totals.
+void AddChunk(const PartitionSlot& slot, PartitionedStats* stats) {
+  const PartitionChunkStats& cs = slot.chunk;
+  if (cs.on_gpu) {
+    stats->gpu_rows += cs.rows;
+    stats->stage_time += cs.gpu.stage_time;
+  } else {
+    stats->cpu_rows += cs.rows;
+  }
+  stats->chunks.push_back(cs);
+}
+
 }  // namespace
+
+uint64_t PartitionedGroupBy::OnePartitionBytesNeeded(
+    const GroupByPlan& plan, const gpusim::CostModel& cost,
+    const GpuGroupByOptions& options, uint64_t input_rows, int dop) {
+  return ChunkBytesNeeded(
+      plan, GpuGroupBy::ChooseStageMode(plan, cost, options, input_rows, dop),
+      options.estimated_rows, options.estimated_groups);
+}
 
 uint64_t PartitionedGroupBy::MaxRowsPerChunk(const GroupByPlan& plan,
                                              uint64_t estimated_groups,
@@ -128,7 +167,7 @@ uint64_t PartitionedGroupBy::MaxRowsPerChunk(const GroupByPlan& plan,
 gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
     const GroupByPlan& plan, uint64_t rows, uint64_t groups,
     uint64_t min_device_memory, int num_devices, bool allow_fusion,
-    int cpu_dop, int stage_dop) {
+    int cpu_dop) {
   gpusim::PartitionedShape s;
   s.rows = rows;
   s.groups = std::max<uint64_t>(1, groups);
@@ -158,7 +197,6 @@ gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
       soa_per_row > 12 ? soa_per_row - 12 : std::max<uint64_t>(4, soa_per_row));
   s.num_devices = num_devices;
   s.cpu_dop = cpu_dop;
-  s.stage_dop = stage_dop;
   // Fan-out and chunk bound: the same doubling loop Execute runs, so
   // PartitionedTime charges per-chunk overheads for exactly the chunks the
   // runtime will dispatch.
@@ -173,7 +211,7 @@ gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
 Result<GroupByOutput> PartitionedGroupBy::Execute(
     const GroupByPlan& plan, sched::GpuScheduler* scheduler,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-    GpuModerator* moderator, const std::vector<uint32_t>& selection,
+    const std::vector<uint32_t>* selection, Fanout fanout,
     const PartitionedOptions& options, PartitionedStats* stats) {
   BLUSIM_CHECK(stats != nullptr);
   *stats = PartitionedStats{};
@@ -181,7 +219,51 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   if (num_devices == 0) {
     return Status::DeviceUnavailable("partitioned path requires devices");
   }
-  const uint64_t total_rows = selection.size();
+  // Every device shares the first one's host and, in a homogeneous fleet,
+  // its spec: the split choice and host-side timing use its model.
+  const gpusim::CostModel& cost = scheduler->device(0)->cost_model();
+  const int pool_dop =
+      thread_pool != nullptr ? std::max(1, thread_pool->num_threads()) : 1;
+
+  // Device chunks' staging mode: the cost-based fused-vs-SoA decision over
+  // the whole input (per-chunk ExecuteToGroups re-decides with the chunk's
+  // own estimates; this level needs it for reservation and chunk sizing).
+  const uint64_t input_rows =
+      selection != nullptr ? selection->size() : plan.table().num_rows();
+  const StageMode mode = GpuGroupBy::ChooseStageMode(
+      plan, cost, options.gpu, input_rows, pool_dop);
+  stats->stage_mode = mode;
+
+  if (fanout == Fanout::kOnePartition) {
+    // The single-device run: the router's estimates size the reservation.
+    PartitionSlot slot;
+    PartitionChunkStats& c = slot.chunk;
+    c.partition = 0;
+    c.task_tag = common::CurrentTaskTag();
+    stats->num_partitions = 1;
+    const Status st =
+        RunDeviceChunk(plan, scheduler, pinned_pool, thread_pool, mode,
+                       selection, options.gpu, options.wait, &slot);
+    if (!st.ok()) {
+      stats->chunks.push_back(c);  // keeps the reservation wait
+      return st;
+    }
+    c.rows = c.gpu.rows_staged;
+    AddChunk(slot, stats);
+    stats->gpu_lane_time = c.wait_time + c.gpu.total() - c.gpu.stage_time;
+    stats->elapsed = stats->stage_time + stats->gpu_lane_time;
+    GroupByOutput out;
+    out.num_groups = c.groups;
+    out.kmv_estimate = slot.kmv;
+    BLUSIM_ASSIGN_OR_RETURN(out.table,
+                            runtime::MaterializeGroups(plan, slot.gpu_groups));
+    return out;
+  }
+
+  if (selection == nullptr) {
+    return Status::InvalidArgument("hash partitioning needs explicit row ids");
+  }
+  const uint64_t total_rows = selection->size();
   if (total_rows == 0) {
     GroupByOutput out;
     const std::vector<uint32_t> no_rows;
@@ -190,12 +272,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
         out.table, runtime::MaterializeGroupsFlat(plan, no_rows, no_accs));
     return out;
   }
-  const gpusim::CostModel& cost = options.cost != nullptr
-                                      ? *options.cost
-                                      : scheduler->device(0)->cost_model();
   const size_t num_slots = plan.slots().size();
-  const int pool_dop =
-      thread_pool != nullptr ? std::max(1, thread_pool->num_threads()) : 1;
   const double host_factor =
       cost.HostParallelFactor(std::max(1, options.cpu_dop));
 
@@ -206,24 +283,13 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     KmvSketch sketch(256);
     const uint64_t stride = std::max<uint64_t>(1, total_rows / 65536);
     for (uint64_t i = 0; i < total_rows; i += stride) {
-      sketch.AddHash(PartitionHash(plan, selection[i]));
+      sketch.AddHash(plan.KeyHash((*selection)[i]));
     }
     estimated_groups = std::max<uint64_t>(1, sketch.Estimate());
   }
 
-  // Device chunks' staging mode: the same cost-based fused-vs-SoA decision
-  // the single-device path makes (per-chunk ExecuteToGroups re-decides
-  // with the chunk's own estimates; this level only needs it for chunk
-  // sizing and memory forecasts).
-  const StageMode mode = GpuGroupBy::ChooseStageMode(
-      plan, cost, options.gpu, total_rows, pool_dop);
-  stats->stage_mode = mode;
-
   // Smallest device bounds the chunk size (heterogeneous devices allowed).
-  uint64_t min_device_mem = UINT64_MAX;
-  for (gpusim::SimDevice* d : scheduler->devices()) {
-    min_device_mem = std::min(min_device_mem, d->spec().device_memory_bytes);
-  }
+  const uint64_t min_device_mem = scheduler->min_device_memory();
 
   // Hash-partition fan-out: enough partitions to keep every lane fed,
   // doubled until the average partition fits a device chunk.
@@ -249,9 +315,11 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
         runtime::GetMorsel(total_rows, kSweepMorselRows, m);
     std::vector<std::vector<uint32_t>> buckets(num_partitions);
     for (uint64_t i = r.begin; i < r.end; ++i) {
-      const uint32_t row = selection[i];
-      buckets[HashPartition(PartitionHash(plan, row), num_partitions)]
-          .push_back(row);
+      const uint32_t row = (*selection)[i];
+      // Equal keys land in the same partition, which makes the partitions
+      // disjoint in group space and the final merge a concatenation.
+      buckets[HashPartition(plan.KeyHash(row), num_partitions)].push_back(
+          row);
     }
     morsel_buckets[m] = std::move(buckets);
   };
@@ -290,10 +358,8 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
 
   gpusim::PartitionedShape shape =
       MakeShape(plan, total_rows, estimated_groups, min_device_mem,
-                num_devices, options.gpu.allow_fusion, options.cpu_dop,
-                pool_dop);
+                num_devices, options.gpu.allow_fusion, options.cpu_dop);
   shape.fused = mode == StageMode::kFusedRecords;
-  shape.max_rows_per_chunk = max_rows;
   shape.num_partitions = num_partitions;
   double cpu_fraction = options.cpu_split_fraction;
   if (cpu_fraction < 0.0) {
@@ -332,6 +398,10 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   }
 
   std::vector<PartitionSlot> slots(num_partitions);
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    slots[p].chunk.partition = static_cast<int>(p);
+    slots[p].chunk.rows = partitions[p].size();
+  }
   const std::vector<uint32_t> device_list(device_order.begin(),
                                           device_order.end());
   WorkQueue queue;
@@ -358,57 +428,30 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     auto flat = runtime::CpuGroupBy::ExecuteToFlat(plan, thread_pool, &sel);
     BLUSIM_RETURN_NOT_OK(flat.status());
     slot->cpu_flat = std::move(flat).value();
-    slot->groups_found = slot->cpu_flat.num_groups;
+    slot->chunk.groups = slot->cpu_flat.num_groups;
     slot->kmv = slot->cpu_flat.kmv_estimate;
     // Engine convention: serial chain cost divided once by the host
     // parallel factor. Passing cpu_dop straight into HostGroupByTime would
     // instead charge its dop-scaled table-merge term, which the model's
     // cpu_lane (PartitionedTime) deliberately does not carry -- the
     // partitions are small enough that per-shard merges are noise.
-    slot->cpu_time = static_cast<SimTime>(
+    slot->chunk.cpu_time = static_cast<SimTime>(
         static_cast<double>(cost.HostGroupByTime(
-            sel.size(), std::max<uint64_t>(1, slot->groups_found),
+            sel.size(), std::max<uint64_t>(1, slot->chunk.groups),
             static_cast<int>(num_slots), 1)) /
         host_factor);
     return Status();
   };
 
-  // Device execution of one partition through the scheduler's FIFO-ticket
-  // placement. Recoverable failures return the status so the caller can
-  // retry the partition on the CPU.
+  // Device execution of one partition. Recoverable failures return the
+  // status so the caller can retry the partition on the CPU.
   auto run_device = [&](uint32_t p, PartitionSlot* slot) -> Status {
-    const std::vector<uint32_t>& sel = partitions[p];
     GpuGroupByOptions gopts = options.gpu;
-    gopts.estimated_rows = sel.size();
+    gopts.estimated_rows = partitions[p].size();
     gopts.estimated_groups =
         std::max<uint64_t>(1, estimated_groups / num_partitions);
-    const uint64_t capacity = ChooseCapacity(gopts.estimated_groups);
-    const uint64_t need =
-        mode == StageMode::kFusedRecords
-            ? GpuGroupBy::FusedDeviceBytesNeeded(plan, sel.size(), capacity)
-            : GpuGroupBy::DeviceBytesNeeded(plan, sel.size(), capacity);
-    SimTime waited = 0;
-    auto pick = scheduler->PickDeviceWithWait(need, &waited, options.wait);
-    slot->wait = waited;
-    BLUSIM_RETURN_NOT_OK(pick.status());
-    gpusim::SimDevice* device = pick.value();
-    slot->device_id = device->id();
-    auto raw = GpuGroupBy::ExecuteToGroups(plan, device, pinned_pool,
-                                           thread_pool, moderator, &sel,
-                                           gopts, &slot->gpu);
-    BLUSIM_RETURN_NOT_OK(raw.status());
-    GpuGroupBy::RawOutput r = std::move(raw).value();
-    slot->gpu_groups = std::move(r.groups);
-    slot->groups_found = slot->gpu_groups.size();
-    slot->kmv = r.kmv_estimate;
-    slot->on_gpu = true;
-    return Status();
-  };
-
-  auto recoverable = [](const Status& st) {
-    return st.IsRecoverableOnHost() ||
-           st.code() == StatusCode::kNotSupported ||
-           st.code() == StatusCode::kEstimateTooLow;
+    return RunDeviceChunk(plan, scheduler, pinned_pool, thread_pool, mode,
+                          &partitions[p], gopts, options.wait, slot);
   };
 
   SimTime cpu_busy = 0;
@@ -431,18 +474,18 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
       }
       PartitionSlot* slot = &slots[p];
       slot->used = true;
-      slot->task_tag = common::CurrentTaskTag();
+      slot->chunk.task_tag = common::CurrentTaskTag();
       Status st = run_device(p, slot);
       if (st.ok()) continue;
-      if (!recoverable(st)) {
+      if (!st.IsRecoverableOnHost()) {
         fail(st);
         break;
       }
       // Retry this partition on the CPU chain, on this driver thread.
-      slot->gpu_fallback = true;
-      slot->on_gpu = false;
-      slot->device_id = -1;
-      slot->gpu = GpuGroupByStats{};
+      slot->chunk.gpu_fallback = true;
+      slot->chunk.on_gpu = false;
+      slot->chunk.device_id = -1;
+      slot->chunk.gpu = GpuGroupByStats{};
       Status cpu_st = run_cpu(p, slot);
       if (!cpu_st.ok()) {
         fail(cpu_st);
@@ -461,13 +504,13 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     if (aborted()) break;
     PartitionSlot* slot = &slots[p];
     slot->used = true;
-    slot->task_tag = common::CurrentTaskTag();
+    slot->chunk.task_tag = common::CurrentTaskTag();
     Status st = run_cpu(p, slot);
     if (!st.ok()) {
       fail(st);
       break;
     }
-    cpu_busy += slot->cpu_time;
+    cpu_busy += slot->chunk.cpu_time;
   }
   // No work stealing back from the device queue: real-thread progress is
   // decoupled from the simulated clock here, so a real-time steal decision
@@ -486,11 +529,11 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // queue order through a greedy earliest-free-lane schedule instead.
   std::vector<SimTime> lane_busy(static_cast<size_t>(num_devices), 0);
   for (uint32_t p : device_list) {
-    const PartitionSlot& slot = slots[p];
-    if (!slot.used) continue;
+    const PartitionChunkStats& c = slots[p].chunk;
+    if (!slots[p].used) continue;
     const SimTime work =
-        slot.wait + (slot.on_gpu ? slot.gpu.total() - slot.gpu.stage_time
-                                 : slot.cpu_time);
+        c.wait_time +
+        (c.on_gpu ? c.gpu.total() - c.gpu.stage_time : c.cpu_time);
     *std::min_element(lane_busy.begin(), lane_busy.end()) += work;
   }
 
@@ -500,7 +543,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // complete, deterministic merge.
   uint64_t total_groups = 0;
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    if (slots[p].used) total_groups += slots[p].groups_found;
+    if (slots[p].used) total_groups += slots[p].chunk.groups;
   }
   std::vector<uint32_t> rep_rows;
   std::vector<runtime::AccValue> accs;
@@ -511,7 +554,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     PartitionSlot& slot = slots[p];
     if (!slot.used) continue;
     kmv_estimate += slot.kmv;
-    if (slot.on_gpu) {
+    if (slot.chunk.on_gpu) {
       for (const GroupEntry& entry : slot.gpu_groups) {
         rep_rows.push_back(entry.rep_row);
         accs.insert(accs.end(), entry.slots.begin(), entry.slots.end());
@@ -522,30 +565,12 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
       accs.insert(accs.end(), slot.cpu_flat.accs.begin(),
                   slot.cpu_flat.accs.end());
     }
-    PartitionChunkStats cs;
-    cs.partition = static_cast<int>(p);
-    cs.on_gpu = slot.on_gpu;
-    cs.gpu_fallback = slot.gpu_fallback;
-    cs.device_id = slot.device_id;
-    cs.rows = partitions[p].size();
-    cs.groups = slot.groups_found;
-    cs.task_tag = slot.task_tag;
-    cs.wait_time = slot.wait;
-    cs.cpu_time = slot.cpu_time;
-    cs.gpu = slot.gpu;
-    if (slot.on_gpu) {
-      stats->gpu_rows += cs.rows;
-      stats->stage_time += slot.gpu.stage_time;
-    } else {
-      stats->cpu_rows += cs.rows;
-    }
-    stats->chunks.push_back(std::move(cs));
+    AddChunk(slot, stats);
   }
 
   GroupByOutput out;
   out.num_groups = total_groups;
   out.kmv_estimate = kmv_estimate;
-  out.input_rows = total_rows;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
                           runtime::MaterializeGroupsFlat(plan, rep_rows, accs));
 

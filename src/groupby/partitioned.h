@@ -28,7 +28,7 @@ struct PartitionChunkStats {
 
 struct PartitionedStats {
   std::vector<PartitionChunkStats> chunks;
-  uint32_t num_partitions = 0;  // hash-partition fan-out (power of two)
+  uint32_t num_partitions = 0;  // fan-out: 1, or a power of two >= 8
   StageMode stage_mode = StageMode::kSoA;  // device chunks' staging mode
   double cpu_split_fraction = 0.0;  // target CPU row share (model/forced)
   uint64_t cpu_rows = 0;  // rows actually aggregated on the CPU lane
@@ -45,16 +45,22 @@ struct PartitionedStats {
   // it is charged once via stage_time).
   SimTime cpu_lane_time = 0;
   SimTime gpu_lane_time = 0;
-  // Host-side concatenation of the partial group sets.
+  // Host-side concatenation of the partial group sets (0 at one
+  // partition, like partition_time).
   SimTime merge_time = 0;
   // End-to-end simulated elapsed: partition sweep + staging + the slower
   // of the two lanes + merge.
   SimTime elapsed = 0;
 };
 
+// How Execute splits its input: the router's decision. One partition is
+// the single-device run; hash partitioning plans a fan-out from the
+// smallest device and splits the rows between a CPU lane and the devices.
+enum class Fanout : uint8_t { kOnePartition, kHashPartitioned };
+
 // Knobs for one partitioned execution.
 struct PartitionedOptions {
-  GpuGroupByOptions gpu;        // per-chunk device options
+  GpuGroupByOptions gpu;  // estimates cover the whole input
   sched::WaitOptions wait;      // reservation-wait policy per device chunk
   // CPU share of the selected rows. Negative = choose from the cost
   // model (CostModel::ChoosePartitionedCpuFraction); any fraction --
@@ -64,34 +70,46 @@ struct PartitionedOptions {
   double cpu_split_fraction = -1.0;
   // DB2 degree of parallelism for the CPU lane's modeled times.
   int cpu_dop = 24;
-  // Cost model for split choice and host-side timing. nullptr = use the
-  // first device's model.
-  const gpusim::CostModel* cost = nullptr;
 };
 
-// Concurrent partitioned CPU+GPU group-by for the paper's T2 < n < T3
-// band (section 2.2: the input is partitioned into smaller chunks
-// "operated on concurrently", then "merged together in the final step").
-// The paper's prototype ran this band on the CPU (figure 3's right
-// branch); this implements the co-execution left as future work.
+// The engine's one device group-by driver (section 2.2: the input is
+// partitioned into smaller chunks "operated on concurrently", then "merged
+// together in the final step"). The paper's prototype ran oversize inputs
+// on the CPU (figure 3's right branch); this implements the co-execution
+// left as future work, and the plain single-device run is its
+// one-partition case.
 //
-// The selection is hash-partitioned by group key, so partitions are
-// disjoint in group space and the final merge is a concatenation of the
-// partitions' group sets — no re-hash. Partitions queue once, largest
-// first; per-device driver threads drain the front through fused staging
-// under the scheduler's FIFO-ticket placement while the calling thread
-// drains a cost-model-sized CPU share (smallest partitions) through the
-// runtime::CpuGroupBy flat-table chain; neither lane takes the other's
-// partitions. Device failures that are recoverable on the host (memory
-// pressure, sentinel collisions, estimate blowups) retry the partition on
-// the CPU instead of failing the query.
+// One partition: the whole input is one chunk on one device, with no
+// sweep, CPU lane, merge or copy; a null selection is the deferred fused
+// scan under the plan's stage filter. A device failure returns its status
+// and keeps the chunk's reservation wait in the stats.
+//
+// Hash partitioning: the selection is hash-partitioned by group key, so
+// partitions are disjoint in group space and the final merge is a
+// concatenation of the partitions' group sets -- no re-hash. Partitions
+// queue once, largest first; per-device driver threads drain the front
+// through fused staging under the scheduler's FIFO-ticket placement while
+// the calling thread drains a cost-model-sized CPU share (smallest
+// partitions) through the runtime::CpuGroupBy flat-table chain; neither
+// lane takes the other's partitions. Device failures that are recoverable
+// on the host (Status::IsRecoverableOnHost) retry the partition on the CPU
+// instead of failing the query. It needs explicit row ids: a null
+// selection is InvalidArgument.
 class PartitionedGroupBy {
  public:
   static Result<runtime::GroupByOutput> Execute(
       const runtime::GroupByPlan& plan, sched::GpuScheduler* scheduler,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-      GpuModerator* moderator, const std::vector<uint32_t>& selection,
+      const std::vector<uint32_t>* selection, Fanout fanout,
       const PartitionedOptions& options, PartitionedStats* stats);
+
+  // Device bytes a one-partition run over `input_rows` scanned rows
+  // reserves: the staged inputs in the mode GpuGroupBy::ChooseStageMode
+  // picks, plus a hash table sized for the options' group estimate.
+  static uint64_t OnePartitionBytesNeeded(const runtime::GroupByPlan& plan,
+                                          const gpusim::CostModel& cost,
+                                          const GpuGroupByOptions& options,
+                                          uint64_t input_rows, int dop);
 
   // Largest chunk row count whose device footprint (staged inputs for the
   // given stage mode + generously sized hash table) fits within
@@ -109,7 +127,7 @@ class PartitionedGroupBy {
   static gpusim::PartitionedShape MakeShape(
       const runtime::GroupByPlan& plan, uint64_t rows, uint64_t groups,
       uint64_t min_device_memory, int num_devices, bool allow_fusion,
-      int cpu_dop, int stage_dop);
+      int cpu_dop);
 };
 
 }  // namespace blusim::groupby

@@ -128,7 +128,6 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
 
   CpuFlatGroups out;
   out.kmv_estimate = kmv_estimate;
-  out.input_rows = total_rows;
 
   // Single morsel: its local table already is the global result.
   if (num_morsels == 1) {
@@ -226,7 +225,6 @@ Result<GroupByOutput> CpuGroupBy::Execute(
   GroupByOutput out;
   out.num_groups = flat.num_groups;
   out.kmv_estimate = flat.kmv_estimate;
-  out.input_rows = flat.input_rows;
   BLUSIM_ASSIGN_OR_RETURN(
       out.table, MaterializeGroupsFlat(plan, flat.rep_rows, flat.accs));
   return out;

@@ -20,7 +20,6 @@ struct GroupByOutput {
   // KMV estimate observed during the HASH stage (what the GPU path would
   // have sized its hash table with).
   uint64_t kmv_estimate = 0;
-  uint64_t input_rows = 0;
 };
 
 // Observability counters for one CpuGroupBy execution (used by tests and
@@ -46,7 +45,6 @@ struct CpuFlatGroups {
   std::vector<AccValue> accs;  // num_groups x plan.slots().size()
   uint64_t num_groups = 0;
   uint64_t kmv_estimate = 0;
-  uint64_t input_rows = 0;
 };
 
 // The original DB2 BLU CPU group-by chain (paper figure 1):

@@ -133,31 +133,6 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into) {
 
 namespace {
 
-void AppendKeyValue(const Column& src, uint32_t row, Column* dst) {
-  if (src.IsNull(row)) {
-    dst->AppendNull();
-    return;
-  }
-  switch (src.type()) {
-    case DataType::kInt32:
-    case DataType::kDate:
-      dst->AppendInt32(src.int32_data()[row]);
-      break;
-    case DataType::kInt64:
-      dst->AppendInt64(src.int64_data()[row]);
-      break;
-    case DataType::kFloat64:
-      dst->AppendDouble(src.float64_data()[row]);
-      break;
-    case DataType::kDecimal128:
-      dst->AppendDecimal(src.decimal_data()[row]);
-      break;
-    case DataType::kString:
-      dst->AppendString(src.string_data()[row]);
-      break;
-  }
-}
-
 // Core materialization over any group container exposing the group count,
 // per-group representative row, and per-(group, slot) accumulator.
 template <typename RepRowFn, typename AccFn>
@@ -196,7 +171,7 @@ Result<std::shared_ptr<Table>> MaterializeImpl(const GroupByPlan& plan,
     for (size_t k = 0; k < num_keys; ++k) {
       const Column& src = input.column(
           static_cast<size_t>(plan.spec().key_columns[k]));
-      AppendKeyValue(src, rep, &result->column(k));
+      result->column(k).AppendFrom(src, rep);
     }
     for (size_t o = 0; o < plan.outputs().size(); ++o) {
       const OutputAgg& out = plan.outputs()[o];

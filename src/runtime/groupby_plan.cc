@@ -1,6 +1,7 @@
 #include "runtime/groupby_plan.h"
 
 #include "columnar/dictionary.h"
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace blusim::runtime {
@@ -162,6 +163,13 @@ uint64_t GroupByPlan::PackKey(size_t row) const {
     key = (w >= 64) ? v : ((key << w) | (v & ((1ULL << w) - 1)));
   }
   return key;
+}
+
+uint64_t GroupByPlan::KeyHash(size_t row) const {
+  if (!wide_key_) return Mix64(PackKey(row));
+  WideKey wk;
+  FillWideKey(row, &wk);
+  return Murmur3_64(wk.bytes, wk.len);
 }
 
 void GroupByPlan::FillWideKey(size_t row, WideKey* out) const {

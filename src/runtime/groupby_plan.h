@@ -100,6 +100,10 @@ class GroupByPlan {
   uint64_t PackKey(size_t row) const;
   // Fills a wide key for row `row`; valid only when wide_key().
   void FillWideKey(size_t row, WideKey* out) const;
+  // 64-bit hash of row `row`'s grouping key (Murmur3 over a wide key,
+  // Mix64 over a packed one): what group-count sketches and the partition
+  // sweep hash.
+  uint64_t KeyHash(size_t row) const;
 
  private:
   const columnar::Table* table_ = nullptr;

@@ -1,6 +1,7 @@
 #ifndef BLUSIM_SCHED_GPU_SCHEDULER_H_
 #define BLUSIM_SCHED_GPU_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -57,6 +58,15 @@ class GpuScheduler {
   size_t num_devices() const { return devices_.size(); }
   const std::vector<gpusim::SimDevice*>& devices() const { return devices_; }
   gpusim::SimDevice* device(size_t i) { return devices_[i]; }
+  // Smallest device memory in the fleet: it bounds chunk sizing and the T3
+  // cap when devices are heterogeneous (UINT64_MAX with no devices).
+  uint64_t min_device_memory() const {
+    uint64_t m = UINT64_MAX;
+    for (const gpusim::SimDevice* d : devices_) {
+      m = std::min(m, d->spec().device_memory_bytes);
+    }
+    return m;
+  }
 
   // Chooses the device for a task needing `bytes_needed` device memory:
   // among devices that can currently reserve it, the one with the fewest

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/engine.h"
 #include "gpusim/perf_monitor.h"
 
@@ -134,6 +138,226 @@ TEST_F(EngineFeaturesTest, StartupRegistrationCostScalesWithPool) {
   off.gpu_enabled = false;
   Engine e3(off);
   EXPECT_EQ(e3.startup_registration_time(), 0);
+}
+
+// --- The device group-by record ---
+// Every device group-by runs through one driver and one recorder; these
+// pin the (label, kind, overlapped) phase sequence and the annotations
+// each outcome records.
+
+using PhaseKey = std::tuple<std::string, PhaseRecord::Kind, bool>;
+constexpr PhaseRecord::Kind kCpuPhase = PhaseRecord::Kind::kCpu;
+constexpr PhaseRecord::Kind kGpuPhase = PhaseRecord::Kind::kGpu;
+
+std::vector<PhaseKey> PhaseSequence(const QueryProfile& profile) {
+  std::vector<PhaseKey> out;
+  for (const PhaseRecord& p : profile.phases) {
+    out.emplace_back(p.label, p.kind, p.overlapped);
+  }
+  return out;
+}
+
+std::vector<std::string> AnnotationKeys(const QueryProfile& profile) {
+  std::vector<std::string> out;
+  for (const auto& kv : profile.trace.annotations) out.push_back(kv.first);
+  return out;
+}
+
+std::string Annotation(const QueryProfile& profile, const std::string& key) {
+  const std::string* v = profile.trace.FindAnnotation(key);
+  return v != nullptr ? *v : "<unset>";
+}
+
+// 100k fact rows over 2000 group keys (1000 of them pass f < 50), a unique
+// id, a filter column and a payload; a 2000-row dimension keyed by the
+// group key. Devices hold 8 MB: a 1000-group query fits easily, a group-by
+// on the unique id over every row never does.
+class GroupByRecordTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Schema fs;
+    fs.AddField({"k", DataType::kInt64, false});
+    fs.AddField({"id", DataType::kInt64, false});
+    fs.AddField({"f", DataType::kInt32, false});
+    fs.AddField({"v", DataType::kInt64, false});
+    auto fact = std::make_shared<Table>(fs);
+    for (int i = 0; i < 100000; ++i) {
+      fact->column(0).AppendInt64((i * 7919) % 2000);
+      fact->column(1).AppendInt64(i);
+      fact->column(2).AppendInt32(i % 100);
+      fact->column(3).AppendInt64(i % 13);
+    }
+    Schema ds;
+    ds.AddField({"pk", DataType::kInt64, false});
+    ds.AddField({"attr", DataType::kInt32, false});
+    auto dim = std::make_shared<Table>(ds);
+    for (int i = 0; i < 2000; ++i) {
+      dim->column(0).AppendInt64(i);
+      dim->column(1).AppendInt32(i % 10);
+    }
+    EngineConfig config;
+    config.cpu_threads = 2;
+    config.device_spec = config.device_spec.WithMemory(8ULL << 20);
+    config.thresholds.t1_min_rows = 1000;
+    engine_ = std::make_unique<Engine>(config);
+    ASSERT_TRUE(engine_->RegisterTable("facts", fact).ok());
+    ASSERT_TRUE(engine_->RegisterTable("dim", dim).ok());
+  }
+
+  // SUM(v), COUNT(*) grouped by `key_column`, over the rows with f < 50.
+  static QuerySpec GroupBy(int key_column) {
+    QuerySpec q;
+    q.fact_table = "facts";
+    runtime::Predicate half;
+    half.column = 2;
+    half.op = runtime::CmpOp::kLt;
+    half.lo = 50;
+    q.fact_filters = {half};
+    runtime::GroupBySpec g;
+    g.key_columns = {key_column};
+    g.aggregates = {{runtime::AggFn::kSum, 3, "s"},
+                    {runtime::AggFn::kCount, -1, "n"}};
+    q.groupby = g;
+    return q;
+  }
+
+  uint64_t CounterValue(const std::string& name) const {
+    uint64_t total = 0;
+    for (const obs::MetricSample& s : engine_->metrics().Snapshot()) {
+      if (s.name == name) total += static_cast<uint64_t>(s.value);
+    }
+    return total;
+  }
+
+  std::unique_ptr<Engine> engine_;
+};
+
+TEST_F(GroupByRecordTest, DeferredFusedSingleDeviceRun) {
+  auto r = engine_->Execute(GroupBy(0));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryProfile& p = r->profile;
+  EXPECT_EQ(p.groupby_path, ExecutionPath::kGpu);
+  EXPECT_TRUE(p.gpu_used);
+  EXPECT_FALSE(p.degraded);
+  // The scan folded into the fused staging sweep: no scan phase.
+  EXPECT_EQ(PhaseSequence(p),
+            (std::vector<PhaseKey>{{"groupby-stage", kCpuPhase, false},
+                                   {"groupby-kernel", kGpuPhase, false}}));
+  EXPECT_EQ(AnnotationKeys(p),
+            (std::vector<std::string>{"kmv_estimate", "groupby_path",
+                                      "kernel", "fusion", "bytes_h2d",
+                                      "bytes_d2h", "bytes_staged_avoided",
+                                      "actual_groups"}));
+  EXPECT_EQ(Annotation(p, "fusion"), "on");
+  EXPECT_EQ(Annotation(p, "actual_groups"), "1000");
+  EXPECT_EQ(r->table->num_rows(), 1000u);
+  // The device job's four sub-spans, the kernel carrying its retries.
+  const std::string kernel = "kernel:" + Annotation(p, "kernel");
+  for (const char* span : {"transfer-in", "hash-init", "transfer-out"}) {
+    EXPECT_NE(p.trace.FindSpan(span), nullptr) << span;
+  }
+  const obs::TraceSpan* k = p.trace.FindSpan(kernel);
+  ASSERT_NE(k, nullptr) << kernel;
+  ASSERT_EQ(k->args.size(), 1u);
+  EXPECT_EQ(k->args[0].first, "retries");
+  // The kernel phase carries the PCIe bytes the annotations report.
+  const PhaseRecord& device = p.phases[1];
+  EXPECT_EQ(device.bytes_moved,
+            std::stoull(Annotation(p, "bytes_h2d")) +
+                std::stoull(Annotation(p, "bytes_d2h")));
+  EXPECT_GT(device.device_mem, 0u);
+  EXPECT_EQ(CounterValue("blusim_moderator_kernel_total"), 1u);
+}
+
+TEST_F(GroupByRecordTest, JoinedSingleDeviceRun) {
+  QuerySpec q = GroupBy(0);
+  DimJoinSpec join;
+  join.dim_table = "dim";
+  join.fact_fk_column = 0;
+  join.dim_pk_column = 0;
+  runtime::Predicate low;
+  low.column = 1;
+  low.op = runtime::CmpOp::kLt;
+  low.lo = 5;
+  join.dim_filters = {low};
+  q.joins = {join};
+  auto r = engine_->Execute(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryProfile& p = r->profile;
+  EXPECT_EQ(p.groupby_path, ExecutionPath::kGpu);
+  EXPECT_TRUE(p.gpu_used);
+  EXPECT_EQ(PhaseSequence(p),
+            (std::vector<PhaseKey>{{"scan", kCpuPhase, false},
+                                   {"join-dim", kCpuPhase, false},
+                                   {"groupby-stage", kCpuPhase, false},
+                                   {"groupby-kernel", kGpuPhase, false}}));
+  std::vector<std::string> keys = {"kmv_estimate", "groupby_path", "kernel",
+                                   "fusion",       "bytes_h2d",   "bytes_d2h"};
+  if (Annotation(p, "fusion") == "on") keys.push_back("bytes_staged_avoided");
+  keys.push_back("actual_groups");
+  EXPECT_EQ(AnnotationKeys(p), keys);
+  EXPECT_EQ(Annotation(p, "actual_groups"), "500");
+}
+
+TEST_F(GroupByRecordTest, NeverFitsWaitsThenRunsTheCpuChain) {
+  // One group per row over all 100k rows: inputs plus table outgrow every
+  // 8 MB device, so the reservation waits out its polls and the query
+  // degrades.
+  QuerySpec q = GroupBy(1);
+  q.fact_filters.clear();
+  auto r = engine_->Execute(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryProfile& p = r->profile;
+  EXPECT_EQ(p.groupby_path, ExecutionPath::kCpu);
+  EXPECT_FALSE(p.gpu_used);
+  EXPECT_TRUE(p.degraded);
+  EXPECT_EQ(PhaseSequence(p),
+            (std::vector<PhaseKey>{{"reservation-wait", kCpuPhase, false},
+                                   {"scan", kCpuPhase, false},
+                                   {"groupby-cpu", kCpuPhase, false}}));
+  EXPECT_EQ(AnnotationKeys(p),
+            (std::vector<std::string>{"kmv_estimate", "groupby_path",
+                                      "groupby_fallback", "actual_groups",
+                                      "degraded"}));
+  EXPECT_EQ(Annotation(p, "groupby_path"), "GPU");
+  EXPECT_EQ(Annotation(p, "groupby_fallback"), "cpu");
+  EXPECT_EQ(Annotation(p, "degraded"), "true");
+  EXPECT_EQ(r->table->num_rows(), 100000u);
+  EXPECT_EQ(CounterValue("blusim_router_groupby_fallbacks_total"), 1u);
+}
+
+TEST_F(GroupByRecordTest, BudgetCapRunsTheCpuChainWithoutWaiting) {
+  ExecOptions opts;
+  opts.device_budget_bytes = 1 << 10;
+  auto r = engine_->Execute(GroupBy(0), opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const QueryProfile& p = r->profile;
+  EXPECT_EQ(p.groupby_path, ExecutionPath::kCpu);
+  EXPECT_TRUE(p.degraded);
+  EXPECT_EQ(PhaseSequence(p),
+            (std::vector<PhaseKey>{{"scan", kCpuPhase, false},
+                                   {"groupby-cpu", kCpuPhase, false}}));
+  EXPECT_EQ(AnnotationKeys(p),
+            (std::vector<std::string>{"kmv_estimate", "groupby_path",
+                                      "groupby_fallback", "actual_groups",
+                                      "degraded"}));
+  EXPECT_EQ(Annotation(p, "groupby_fallback"), "budget");
+  EXPECT_EQ(r->table->num_rows(), 1000u);
+  EXPECT_EQ(CounterValue("blusim_router_budget_capped_total"), 1u);
+  EXPECT_EQ(CounterValue("blusim_router_groupby_fallbacks_total"), 1u);
+}
+
+TEST_F(GroupByRecordTest, InstrumentsExistAtZeroFromConstruction) {
+  size_t kernels = 0;
+  for (const obs::MetricSample& s : engine_->metrics().Snapshot()) {
+    if (s.name == "blusim_moderator_kernel_total") {
+      ++kernels;
+      EXPECT_EQ(s.value, 0);
+    }
+  }
+  EXPECT_EQ(kernels, 6u);  // 3 kernels x fused or not
+  EXPECT_EQ(CounterValue("blusim_queries_total"), 0u);
+  EXPECT_EQ(CounterValue("blusim_bytes_h2d_total"), 0u);
 }
 
 TEST(MaterializeRowsTest, ReordersAndProjects) {

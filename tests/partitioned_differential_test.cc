@@ -15,6 +15,7 @@
 #include "common/task_tag.h"
 #include "groupby/partitioned.h"
 #include "runtime/cpu_groupby.h"
+#include "runtime/operators.h"
 
 namespace blusim::groupby {
 namespace {
@@ -77,14 +78,18 @@ GroupBySpec Spec() {
 class PartitionedDifferentialTest : public ::testing::Test {
  protected:
   // Exact-integer and order-tolerant floating-point comparison of the
-  // partitioned result against the single-threaded CPU chain.
+  // partitioned result against the single-threaded CPU chain over
+  // `selection`. A deferred run hands the driver no row ids: the plan's
+  // stage filter must select the same rows.
   void ExpectMatchesCpu(const GroupByPlan& plan,
                         const std::vector<uint32_t>& selection,
                         const PartitionedOptions& options,
-                        PartitionedStats* stats) {
-    auto part = PartitionedGroupBy::Execute(plan, &scheduler_, &pinned_,
-                                            &pool_, &moderator_, selection,
-                                            options, stats);
+                        PartitionedStats* stats,
+                        Fanout fanout = Fanout::kHashPartitioned,
+                        bool deferred = false) {
+    auto part = PartitionedGroupBy::Execute(
+        plan, &scheduler_, &pinned_, &pool_, deferred ? nullptr : &selection,
+        fanout, options, stats);
     ASSERT_TRUE(part.ok()) << part.status().ToString();
     auto cpu = runtime::CpuGroupBy::Execute(plan, /*pool=*/nullptr,
                                             &selection);
@@ -126,7 +131,6 @@ class PartitionedDifferentialTest : public ::testing::Test {
   sched::GpuScheduler scheduler_{{&d0_, &d1_}};
   gpusim::PinnedHostPool pinned_{64ULL << 20};
   runtime::ThreadPool pool_{4};
-  GpuModerator moderator_;
 };
 
 std::vector<uint32_t> AllRows(const Table& t) {
@@ -208,8 +212,9 @@ TEST_F(PartitionedDifferentialTest, WideMultiColumnKeys) {
   options.cpu_split_fraction = 0.5;
   PartitionedStats stats;
   auto part = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
-                                          &pool_, &moderator_, selection,
-                                          options, &stats);
+                                          &pool_, &selection,
+                                          Fanout::kHashPartitioned, options,
+                                          &stats);
   ASSERT_TRUE(part.ok()) << part.status().ToString();
   auto cpu =
       runtime::CpuGroupBy::Execute(plan.value(), /*pool=*/nullptr, &selection);
@@ -236,6 +241,52 @@ TEST_F(PartitionedDifferentialTest, WideMultiColumnKeys) {
   }
 }
 
+TEST_F(PartitionedDifferentialTest, OnePartitionDeferredScanWithStageFilter) {
+  // The single-device run: no row ids, the predicate evaluated by the fused
+  // staging sweep, one chunk on one device, no sweep and no merge.
+  auto t = MakeTable(60000, KeyShape::kUniform);
+  auto made = GroupByPlan::Make(*t, Spec());
+  ASSERT_TRUE(made.ok());
+  GroupByPlan plan = std::move(made).value();
+  runtime::Predicate positive;
+  positive.column = 1;
+  positive.op = runtime::CmpOp::kGe;
+  positive.lo = 0;
+  auto selection = runtime::FilterScan(*t, {positive}, &pool_);
+  ASSERT_TRUE(selection.ok());
+  ASSERT_LT(selection->size(), t->num_rows());
+  plan.set_stage_filter({positive});
+  PartitionedOptions options;
+  options.gpu.estimated_rows = selection->size();
+  options.gpu.estimated_groups = 3000;
+  PartitionedStats stats;
+  ExpectMatchesCpu(plan, *selection, options, &stats, Fanout::kOnePartition,
+                   /*deferred=*/true);
+  EXPECT_EQ(stats.num_partitions, 1u);
+  EXPECT_EQ(stats.stage_mode, StageMode::kFusedRecords);
+  ASSERT_EQ(stats.chunks.size(), 1u);
+  EXPECT_TRUE(stats.chunks[0].on_gpu);
+  EXPECT_TRUE(stats.chunks[0].gpu.fused);
+  EXPECT_EQ(stats.chunks[0].gpu.rows_scanned, t->num_rows());
+  EXPECT_EQ(stats.gpu_rows, selection->size());
+  EXPECT_EQ(stats.cpu_rows, 0u);
+  EXPECT_EQ(stats.cpu_split_fraction, 0.0);
+  EXPECT_EQ(stats.partition_time, 0);
+  EXPECT_EQ(stats.merge_time, 0);
+  EXPECT_EQ(stats.stage_time, stats.chunks[0].gpu.stage_time);
+}
+
+TEST_F(PartitionedDifferentialTest, HashPartitioningNeedsRowIds) {
+  auto t = MakeTable(1000, KeyShape::kUniform);
+  auto plan = GroupByPlan::Make(*t, Spec());
+  ASSERT_TRUE(plan.ok());
+  PartitionedStats stats;
+  auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
+                                         &pool_, /*selection=*/nullptr,
+                                         Fanout::kHashPartitioned, {}, &stats);
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(PartitionedDifferentialTest, EmptySelection) {
   auto t = MakeTable(1000, KeyShape::kUniform);
   auto plan = GroupByPlan::Make(*t, Spec());
@@ -243,8 +294,8 @@ TEST_F(PartitionedDifferentialTest, EmptySelection) {
   const std::vector<uint32_t> empty;
   PartitionedStats stats;
   auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
-                                         &pool_, &moderator_, empty, {},
-                                         &stats);
+                                         &pool_, &empty,
+                                         Fanout::kHashPartitioned, {}, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(out->num_groups, 0u);
   EXPECT_EQ(out->table->num_rows(), 0u);
@@ -263,9 +314,10 @@ TEST_F(PartitionedDifferentialTest, ChunksCarryOwningQueryTaskTag) {
   PartitionedStats stats;
   {
     common::ScopedTaskTag tag(kTag);
-    auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_,
-                                           &pinned_, &pool_, &moderator_,
-                                           selection, options, &stats);
+    auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
+                                           &pool_, &selection,
+                                           Fanout::kHashPartitioned, options,
+                                           &stats);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
   }
   ASSERT_FALSE(stats.chunks.empty());

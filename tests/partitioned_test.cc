@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -58,7 +60,6 @@ class PartitionedTest : public ::testing::Test {
   sched::GpuScheduler scheduler_{{&d0_, &d1_}};
   gpusim::PinnedHostPool pinned_{64ULL << 20};
   runtime::ThreadPool pool_{2};
-  GpuModerator moderator_;
 };
 
 TEST_F(PartitionedTest, MatchesCpuChainAcrossChunks) {
@@ -74,8 +75,9 @@ TEST_F(PartitionedTest, MatchesCpuChainAcrossChunks) {
   PartitionedOptions popts;
   popts.cpu_split_fraction = 0.0;
   auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
-                                         &pool_, &moderator_, selection,
-                                         popts, &stats);
+                                         &pool_, &selection,
+                                         Fanout::kHashPartitioned, popts,
+                                         &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_GE(stats.chunks.size(), 2u) << "input should not fit one chunk";
   EXPECT_GT(stats.merge_time, 0);
@@ -127,9 +129,9 @@ TEST_F(PartitionedTest, FailsCleanlyWhenTableExceedsSmallestDevice) {
   std::vector<uint32_t> selection(t->num_rows());
   for (uint32_t i = 0; i < selection.size(); ++i) selection[i] = i;
   PartitionedStats stats;
-  auto out = PartitionedGroupBy::Execute(plan.value(), &sched, &pinned_,
-                                         &pool_, &moderator_, selection, {},
-                                         &stats);
+  auto out = PartitionedGroupBy::Execute(plan.value(), &sched, &pinned_, &pool_,
+                                         &selection, Fanout::kHashPartitioned,
+                                         {}, &stats);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsRecoverableOnHost());
 }
@@ -207,9 +209,10 @@ TEST_F(PartitionedTest, ChunkCountsTrackStageMode) {
     popts.gpu.allow_fusion = allow_fusion;
     popts.gpu.estimated_groups = 5000;
     PartitionedStats stats;
-    auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_,
-                                           &pinned_, &pool_, &moderator_,
-                                           selection, popts, &stats);
+    auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
+                                           &pool_, &selection,
+                                           Fanout::kHashPartitioned, popts,
+                                           &stats);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     if (!allow_fusion) {
       EXPECT_EQ(stats.stage_mode, StageMode::kSoA);
@@ -249,6 +252,69 @@ TEST_F(PartitionedTest, EngineRunsOversizeQueryOnPartitionedPath) {
     if (phase.kind == blusim::core::PhaseRecord::Kind::kGpu) ++gpu_phases;
   }
   EXPECT_GE(gpu_phases, 2);
+}
+
+TEST_F(PartitionedTest, EngineRecordsModeledUpgrade) {
+  // Inside T3 the router upgrades a GPU route to hash partitioning when the
+  // model prices the partitioned run 10% under the one-partition run and
+  // the CPU chain. The record: the scan the deferred query materializes,
+  // the partition sweep, one overlapped phase per used partition, then
+  // staging, the lane umbrella and the merge.
+  auto t = MakeTable(100000, 5000);
+  blusim::core::EngineConfig config;
+  config.cpu_threads = 2;
+  config.enable_partitioned_gpu = true;
+  config.thresholds.t1_min_rows = 1000;
+  blusim::core::Engine engine(config);
+  ASSERT_TRUE(engine.RegisterTable("t", t).ok());
+  blusim::core::QuerySpec q;
+  q.fact_table = "t";
+  q.groupby = Spec();
+  auto r = engine.Execute(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const blusim::core::QueryProfile& p = r->profile;
+  EXPECT_EQ(p.groupby_path, blusim::core::ExecutionPath::kPartitioned);
+  EXPECT_TRUE(p.gpu_used);
+  EXPECT_FALSE(p.degraded);
+  EXPECT_EQ(r->table->num_rows(), 5000u);
+
+  std::vector<std::string> keys;
+  for (const auto& kv : p.trace.annotations) keys.push_back(kv.first);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "kmv_estimate", "partitioned_upgrade", "groupby_path",
+                      "partitions", "cpu_split", "actual_groups"}));
+  EXPECT_EQ(*p.trace.FindAnnotation("partitioned_upgrade"), "modeled");
+  const uint64_t partitions =
+      std::stoull(*p.trace.FindAnnotation("partitions"));
+  EXPECT_GE(partitions, 8u);
+
+  using Kind = blusim::core::PhaseRecord::Kind;
+  const auto& phases = p.phases;
+  ASSERT_EQ(phases.size(), 2 + partitions + 3);
+  EXPECT_EQ(phases[0].label, "scan");
+  EXPECT_EQ(phases[1].label, "groupby-partition-plan");
+  int gpu_chunks = 0;
+  for (uint64_t i = 2; i < 2 + partitions; ++i) {
+    EXPECT_TRUE(phases[i].overlapped) << i;
+    if (phases[i].kind == Kind::kGpu) {
+      EXPECT_EQ(phases[i].label, "groupby-partition");
+      ++gpu_chunks;
+    } else {
+      EXPECT_EQ(phases[i].label, "groupby-partition-cpu");
+    }
+  }
+  EXPECT_GT(gpu_chunks, 0);
+  const std::vector<std::string> tail = {"groupby-partition-stage",
+                                         "groupby-partitioned",
+                                         "groupby-merge"};
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const auto& phase = phases[2 + partitions + i];
+    EXPECT_EQ(phase.label, tail[i]);
+    EXPECT_EQ(phase.kind, Kind::kCpu);
+    EXPECT_FALSE(phase.overlapped);
+  }
+  EXPECT_FALSE(phases[0].overlapped);
+  EXPECT_FALSE(phases[1].overlapped);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@ TEST(StatusTest, RecoverableOnHostClassification) {
   EXPECT_TRUE(Status::OutOfDeviceMemory("").IsRecoverableOnHost());
   EXPECT_TRUE(Status::DeviceUnavailable("").IsRecoverableOnHost());
   EXPECT_TRUE(Status::CapacityExceeded("").IsRecoverableOnHost());
+  EXPECT_TRUE(Status::NotSupported("").IsRecoverableOnHost());
+  EXPECT_TRUE(Status::EstimateTooLow("").IsRecoverableOnHost());
   EXPECT_FALSE(Status::Internal("").IsRecoverableOnHost());
   EXPECT_FALSE(Status::InvalidArgument("").IsRecoverableOnHost());
   EXPECT_FALSE(Status::OK().IsRecoverableOnHost());
