@@ -25,6 +25,12 @@ inline uint64_t Mix64(uint64_t k) {
 
 // Mod-hash for keys <= 64 bit (section 4.3.1: "For keys smaller than 64 bit
 // we use a mod hash function"). `buckets` must be > 0.
+// The device group-by tables apply it to the finalized key,
+// ModHash(Mix64(key), capacity), not to the raw packed key: CCAT packing
+// puts the last key column in the low bits, so on a power-of-two table the
+// raw residue keeps only that column and a multi-column key whose last
+// column has few values fills a few runs of buckets that linear probing
+// then walks.
 inline uint64_t ModHash(uint64_t key, uint64_t buckets) {
   return key % buckets;
 }
@@ -46,8 +52,10 @@ inline uint64_t HashTableCapacity(uint64_t estimated_groups) {
 }
 
 // Partition index for a hashed key, taken from the TOP bits of the hash.
-// Open-addressing tables probe with the LOW bits (hash & (capacity - 1)),
-// so a top-bit partition keeps shard choice independent of probe position.
+// Open-addressing tables probe with the LOW bits of the same hash (the
+// device tables' ModHash(Mix64(key), capacity), the CPU flat table's
+// hash & (capacity - 1)), so a top-bit partition keeps shard choice
+// independent of probe position.
 // `num_partitions` must be a power of two.
 inline uint32_t HashPartition(uint64_t hash, uint32_t num_partitions) {
   if (num_partitions <= 1) return 0;

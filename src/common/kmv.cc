@@ -52,12 +52,14 @@ void KmvSketch::Merge(const KmvSketch& other) {
   for (uint64_t h : other.heap_) AddHash(h);
 }
 
-uint64_t KmvSketch::Estimate() const {
+uint64_t KmvSketch::Estimate(uint32_t hash_partitions) const {
   if (heap_.size() < k_) {
     return heap_.size();  // exact below k distinct values
   }
-  // Normalize the k-th smallest hash to (0, 1].
-  const double hk = static_cast<double>(heap_[0]) /
+  int shift = 0;
+  for (uint32_t p = hash_partitions; p > 1; p >>= 1) ++shift;
+  // Normalize the k-th smallest hash, below the partition bits, to (0, 1].
+  const double hk = static_cast<double>(heap_[0] << shift) /
                     18446744073709551616.0;  // 2^64
   if (hk <= 0.0) return heap_.size();
   const double est = (static_cast<double>(k_) - 1.0) / hk;

@@ -28,8 +28,10 @@ class KmvSketch {
   void Merge(const KmvSketch& other);
 
   // Estimated number of distinct values seen. Exact while fewer than k
-  // distinct hashes have been observed.
-  uint64_t Estimate() const;
+  // distinct hashes have been observed. When every hash came from one
+  // HashPartition range of `hash_partitions` (a power of two), the shared
+  // top bits are dropped first: the hashes are uniform only below them.
+  uint64_t Estimate(uint32_t hash_partitions = 1) const;
 
   size_t k() const { return k_; }
   size_t size() const { return heap_.size(); }

@@ -5,6 +5,7 @@
 
 #include "common/kmv.h"
 #include "common/logging.h"
+#include "common/wall_timer.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/operators.h"
 #include "sort/gpu_sort.h"
@@ -66,13 +67,16 @@ int ScanWidth(const Table& table, const std::vector<Predicate>& predicates) {
   return std::max(width, 4);
 }
 
-// A host phase: `cpu_work` serial simulated microseconds run at `dop`.
-PhaseRecord CpuPhase(std::string label, SimTime cpu_work, int dop) {
+// A host phase: `cpu_work` serial simulated microseconds run at `dop`,
+// which took `wall_us` of host wall time.
+PhaseRecord CpuPhase(std::string label, SimTime cpu_work, int dop,
+                     int64_t wall_us) {
   PhaseRecord phase;
   phase.kind = PhaseRecord::Kind::kCpu;
   phase.label = std::move(label);
   phase.cpu_work = cpu_work;
   phase.dop = dop;
+  phase.wall_us = wall_us;
   return phase;
 }
 
@@ -88,7 +92,17 @@ PhaseRecord DevicePhase(std::string label,
   phase.device_mem = chunk.gpu.device_bytes_reserved;
   phase.device_id = chunk.device_id;
   phase.bytes_moved = chunk.gpu.bytes_in + chunk.gpu.bytes_out;  // PCIe
+  phase.kernel_probes = chunk.gpu.work.probes;
+  phase.kernel_rows = chunk.gpu.rows_staged;
   return phase;
+}
+
+// The kernel work counts of a device chunk, as span args.
+std::vector<std::pair<std::string, std::string>> KernelWorkArgs(
+    const groupby::KernelWork& work) {
+  return {{"probes", std::to_string(work.probes)},
+          {"cas_failures", std::to_string(work.cas_failures)},
+          {"lock_spins", std::to_string(work.lock_spins)}};
 }
 
 // A reservation beyond the query's granted share of device or pinned
@@ -193,11 +207,22 @@ Engine::Instruments::Instruments(obs::MetricsRegistry* m) {
        {GroupByKernelKind::kRegular, GroupByKernelKind::kSharedMem,
         GroupByKernelKind::kRowLock}) {
     for (const bool fused : {false, true}) {
-      kernel[static_cast<int>(kind) - 1][fused] = m->GetCounter(
-          "blusim_moderator_kernel_total",
-          {{"kernel", fused ? gpusim::GroupByKernelKindFusedName(kind)
-                            : gpusim::GroupByKernelKindName(kind)}},
-          "Group-by kernel executions by moderator choice");
+      const obs::LabelSet label = {
+          {"kernel", fused ? gpusim::GroupByKernelKindFusedName(kind)
+                           : gpusim::GroupByKernelKindName(kind)}};
+      KernelCounters& k = kernel[static_cast<int>(kind) - 1][fused];
+      k.runs = m->GetCounter("blusim_moderator_kernel_total", label,
+                             "Group-by kernel executions by moderator choice");
+      k.probes = m->GetCounter(
+          "blusim_kernel_probes_total", label,
+          "Hash-table slots the group-by kernels examined");
+      k.cas_failures = m->GetCounter(
+          "blusim_kernel_cas_failures_total", label,
+          "Group-by key-claim CAS operations lost to a different key");
+      k.lock_spins = m->GetCounter(
+          "blusim_kernel_lock_spins_total", label,
+          "Group-by device spin-lock CAS attempts (1 per uncontended "
+          "acquisition)");
     }
   }
   bytes_h2d = m->GetCounter("blusim_bytes_h2d_total", {{"op", "groupby"}},
@@ -269,11 +294,17 @@ Engine::~Engine() {
   }
 }
 
-void Engine::RecordPhase(PhaseRecord phase, const char* category,
-                         QueryProfile* profile, obs::TraceBuilder* trace) {
+void Engine::RecordPhase(
+    PhaseRecord phase, const char* category, QueryProfile* profile,
+    obs::TraceBuilder* trace,
+    std::vector<std::pair<std::string, std::string>> args) {
   phase.elapsed = phase.IdleElapsed(cost_.HostParallelFactor(phase.dop));
   if (trace != nullptr) {
-    trace->AddPhase(phase.label, category, phase.elapsed, phase.device_id);
+    args.insert(args.begin(),
+                {{"sim_us", std::to_string(phase.elapsed)},
+                 {"wall_us", std::to_string(phase.wall_us)}});
+    trace->AddPhase(phase.label, category, phase.elapsed, phase.device_id,
+                    std::move(args));
   }
   profile->phases.push_back(std::move(phase));
 }
@@ -281,12 +312,13 @@ void Engine::RecordPhase(PhaseRecord phase, const char* category,
 Result<std::vector<uint32_t>> Engine::ScanFact(
     const Table& fact, const std::vector<Predicate>& filters,
     QueryProfile* profile, obs::TraceBuilder* trace) {
+  const WallTimer timer;
   BLUSIM_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                           runtime::FilterScan(fact, filters, &pool_));
   RecordPhase(CpuPhase("scan",
                        cost_.HostScanTime(fact.num_rows(),
                                           ScanWidth(fact, filters), 1),
-                       config_.query_dop),
+                       config_.query_dop, timer.ElapsedUs()),
               obs::kCatCpu, profile, trace);
   return rows;
 }
@@ -441,12 +473,13 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
           Status::CapacityExceeded("reservation exceeds the per-query budget");
     } else {
       groupby::PartitionedStats pstats;
+      const WallTimer timer;
       auto out = groupby::PartitionedGroupBy::Execute(
           plan, &scheduler_, &pinned_, &pool_, selection,
           one_partition ? groupby::Fanout::kOnePartition
                         : groupby::Fanout::kHashPartitioned,
           popts, &pstats);
-      RecordDeviceGroupBy(pstats, out, profile, trace);
+      RecordDeviceGroupBy(pstats, out, timer.ElapsedUs(), profile, trace);
       if (out.ok()) {
         profile->gpu_used =
             std::any_of(pstats.chunks.begin(), pstats.chunks.end(),
@@ -470,6 +503,7 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   // CPU chain (baseline figure-1 path; also the fallback and the
   // "partitioned" case, which the prototype runs on the CPU).
   BLUSIM_RETURN_NOT_OK(materialize_selection());
+  const WallTimer timer;
   auto cpu_out = runtime::CpuGroupBy::Execute(plan, &pool_, selection);
   BLUSIM_RETURN_NOT_OK(cpu_out.status());
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
@@ -478,7 +512,7 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
                        cost_.HostGroupByTime(
                            selection->size(), cpu_out->num_groups,
                            static_cast<int>(plan.slots().size()), 1),
-                       config_.query_dop),
+                       config_.query_dop, timer.ElapsedUs()),
               obs::kCatCpu, profile, trace);
 
   return cpu_out->table;
@@ -486,18 +520,36 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
 
 void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
                                  const Result<runtime::GroupByOutput>& out,
-                                 QueryProfile* profile,
+                                 int64_t wall_us, QueryProfile* profile,
                                  obs::TraceBuilder* trace) {
   const bool partitioned = stats.num_partitions > 1;
+  // Adds a device attempt's kernel work to its kernel's counters, failed
+  // attempts included: a table too small to hold its groups probes the
+  // longest before its overflow retries run out.
+  auto count_work = [this](const groupby::GpuGroupByStats& g)
+      -> const Instruments::KernelCounters& {
+    const Instruments::KernelCounters& k =
+        instruments_.kernel[static_cast<int>(g.kernel_used) - 1][g.fused];
+    k.probes->Add(g.work.probes);
+    k.cas_failures->Add(g.work.cas_failures);
+    k.lock_spins->Add(g.work.lock_spins);
+    return k;
+  };
   if (!partitioned && !stats.chunks.empty() &&
       stats.chunks.front().wait_time > 0) {
     // A blocked agent holds its thread while polling for device memory,
     // so the wait is charged as a dop-1 phase (and shows up as a wait
     // span in the trace), whether or not the device run followed.
-    RecordPhase(CpuPhase("reservation-wait", stats.chunks.front().wait_time, 1),
+    RecordPhase(CpuPhase("reservation-wait", stats.chunks.front().wait_time, 1,
+                         stats.chunks.front().wait_wall_us),
                 obs::kCatWait, profile, trace);
   }
-  if (!out.ok()) return;
+  if (!out.ok()) {
+    if (!partitioned && !stats.chunks.empty()) {
+      count_work(stats.chunks.front().gpu);
+    }
+    return;
+  }
 
   if (partitioned) {
     // The partition sweep and the device chunks' host staging are pool
@@ -507,7 +559,7 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
     // visible in ExplainAnalyze for attribution but excluded from elapsed
     // sums and the concurrency replay.
     RecordPhase(CpuPhase("groupby-partition-plan", stats.partition_time,
-                         config_.query_dop),
+                         config_.query_dop, stats.partition_wall_us),
                 obs::kCatCpu, profile, trace);
   }
   uint64_t bytes_in = 0;
@@ -515,43 +567,59 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
   uint64_t bytes_avoided = 0;
   uint64_t gpu_chunks = 0;
   uint64_t fallbacks = 0;
+  groupby::KernelWork work;
   for (const auto& chunk : stats.chunks) {
     if (!chunk.on_gpu) {
-      if (chunk.gpu_fallback) ++fallbacks;
+      if (chunk.gpu_fallback) {
+        ++fallbacks;
+        work += chunk.gpu.work;
+        count_work(chunk.gpu);
+      }
       PhaseRecord cp = CpuPhase("groupby-partition-cpu",
-                                chunk.wait_time + chunk.cpu_time, 1);
+                                chunk.wait_time + chunk.cpu_time, 1,
+                                chunk.wall_us);
       cp.overlapped = true;
       RecordPhase(std::move(cp), obs::kCatCpu, profile, trace);
       continue;
     }
+    const groupby::GpuGroupByStats& g = chunk.gpu;
     ++gpu_chunks;
-    bytes_in += chunk.gpu.bytes_in;
-    bytes_out += chunk.gpu.bytes_out;
-    bytes_avoided += chunk.gpu.bytes_avoided;
-    instruments_
-        .kernel[static_cast<int>(chunk.gpu.kernel_used) - 1][chunk.gpu.fused]
-        ->Add(1);
+    bytes_in += g.bytes_in;
+    bytes_out += g.bytes_out;
+    bytes_avoided += g.bytes_avoided;
+    work += g.work;
+    count_work(g).runs->Add(1);
     if (!partitioned) continue;
     PhaseRecord gp = DevicePhase("groupby-partition", chunk, chunk.wait_time);
+    gp.wall_us = chunk.wall_us;  // wait, staging and device job, in its lane
     gp.overlapped = true;
-    RecordPhase(std::move(gp), obs::kCatGpu, profile, trace);
+    RecordPhase(std::move(gp), obs::kCatGpu, profile, trace,
+                KernelWorkArgs(g.work));
   }
 
   // Host staging (chain + MEMCPY, or the fused one-sweep scan + encode +
-  // pinned write) of every device chunk, pooled at query dop.
+  // pinned write) of every device chunk, pooled at query dop. Partitioned
+  // chunks stage inside their concurrent device lanes, so that wall time
+  // sits in the overlapped per-chunk phases and the umbrella, not here.
   if (!partitioned || stats.stage_time > 0) {
-    PhaseRecord stage =
-        CpuPhase(partitioned ? "groupby-partition-stage" : "groupby-stage",
-                 stats.stage_time, config_.query_dop);
+    PhaseRecord stage = CpuPhase(
+        partitioned ? "groupby-partition-stage" : "groupby-stage",
+        stats.stage_time, config_.query_dop,
+        partitioned ? 0 : stats.chunks.front().gpu.stage_wall_us);
     stage.bytes_moved = bytes_in;  // pinned staging writes
     RecordPhase(std::move(stage), obs::kCatCpu, profile, trace);
   }
   if (partitioned) {
+    // The umbrella's wall time is the lanes' window: the driver call less
+    // the sweep and the merge.
     RecordPhase(CpuPhase("groupby-partitioned",
-                         std::max(stats.cpu_lane_time, stats.gpu_lane_time), 1),
+                         std::max(stats.cpu_lane_time, stats.gpu_lane_time), 1,
+                         std::max<int64_t>(0, wall_us - stats.partition_wall_us -
+                                                  stats.merge_wall_us)),
                 obs::kCatCpu, profile, trace);
-    RecordPhase(CpuPhase("groupby-merge", stats.merge_time, 1), obs::kCatCpu,
-                profile, trace);
+    RecordPhase(CpuPhase("groupby-merge", stats.merge_time, 1,
+                         stats.merge_wall_us),
+                obs::kCatCpu, profile, trace);
 
     instruments_.partitioned_queries->Add(1);
     instruments_.partitioned_chunks[kGpuSide]->Add(gpu_chunks);
@@ -573,15 +641,25 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
     const groupby::PartitionChunkStats& chunk = stats.chunks.front();
     const groupby::GpuGroupByStats& g = chunk.gpu;
     PhaseRecord gpu = DevicePhase("groupby-kernel", chunk, 0);
+    // The rest of the driver call: upload, init, kernel, readback and
+    // materializing the result (and the placement, when no wait phase
+    // carries it).
+    const int64_t wait_wall_us = chunk.wait_time > 0 ? chunk.wait_wall_us : 0;
+    gpu.wall_us =
+        std::max<int64_t>(0, wall_us - wait_wall_us - g.stage_wall_us);
     const char* kernel_name =
         g.fused ? gpusim::GroupByKernelKindFusedName(g.kernel_used)
                 : gpusim::GroupByKernelKindName(g.kernel_used);
+    auto kernel_args = KernelWorkArgs(g.work);
+    kernel_args.insert(kernel_args.begin(),
+                       {{"sim_us", std::to_string(g.kernel_time)},
+                        {"wall_us", std::to_string(g.kernel_wall_us)},
+                        {"retries", std::to_string(g.retries)}});
     trace->AddPhase("transfer-in", obs::kCatTransfer, g.transfer_in,
                     gpu.device_id, {{"bytes", std::to_string(g.bytes_in)}});
     trace->AddPhase("hash-init", obs::kCatGpu, g.table_init, gpu.device_id);
     trace->AddPhase(std::string("kernel:") + kernel_name, obs::kCatKernel,
-                    g.kernel_time, gpu.device_id,
-                    {{"retries", std::to_string(g.retries)}});
+                    g.kernel_time, gpu.device_id, std::move(kernel_args));
     trace->AddPhase("transfer-out", obs::kCatTransfer, g.transfer_out,
                     gpu.device_id, {{"bytes", std::to_string(g.bytes_out)}});
     trace->Annotate("kernel", kernel_name);
@@ -594,6 +672,11 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
     }
     gpu.elapsed = gpu.IdleElapsed(cost_.HostParallelFactor(gpu.dop));
     profile->phases.push_back(std::move(gpu));
+  }
+  if (gpu_chunks > 0 || fallbacks > 0) {
+    trace->Annotate("kernel_probes", std::to_string(work.probes));
+    trace->Annotate("kernel_cas_failures", std::to_string(work.cas_failures));
+    trace->Annotate("kernel_lock_spins", std::to_string(work.lock_spins));
   }
   instruments_.bytes_h2d->Add(bytes_in);
   instruments_.bytes_d2h->Add(bytes_out);
@@ -616,9 +699,11 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
 
   if (opts.admission_wait > 0) {
     // Time spent queued before admission; charged dop-1 so the trace and
-    // profile show end-to-end latency, not just post-admission work.
-    RecordPhase(CpuPhase("admission-wait", opts.admission_wait, 1),
-                obs::kCatWait, &profile, &trace);
+    // profile show end-to-end latency, not just post-admission work. The
+    // wait is a wall measurement, so it is also the phase's wall time.
+    RecordPhase(
+        CpuPhase("admission-wait", opts.admission_wait, 1, opts.admission_wait),
+        obs::kCatWait, &profile, &trace);
   }
 
   // --- Scan + filter the fact table ---
@@ -640,6 +725,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   for (const DimJoinSpec& join : query.joins) {
     BLUSIM_ASSIGN_OR_RETURN(std::shared_ptr<Table> dim,
                             GetTable(join.dim_table));
+    const WallTimer timer;
     std::vector<uint32_t> dim_selection;
     const std::vector<uint32_t>* dim_sel_ptr = nullptr;
     if (!join.dim_filters.empty()) {
@@ -659,7 +745,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
                          cost_.HostJoinTime(dim_sel_ptr ? dim_selection.size()
                                                         : dim->num_rows(),
                                             selection.size(), 1),
-                         config_.query_dop),
+                         config_.query_dop, timer.ElapsedUs()),
                 obs::kCatCpu, &profile, &trace);
     selection = std::move(joined.fact_rows);
   }
@@ -675,6 +761,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
 
   // --- Order by ---
   if (!query.order_by.empty()) {
+    const WallTimer timer;
     if (result != nullptr) {
       // Sorting the (small) aggregated result: CPU.
       sort::HybridSortOptions options;
@@ -687,7 +774,7 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
                                    &stats));
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*result, perm, {}));
       RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(perm.size(), 1),
-                           config_.query_dop),
+                           config_.query_dop, timer.ElapsedUs()),
                   obs::kCatCpu, &profile, &trace);
       profile.sort_path = ExecutionPath::kCpu;
     } else {
@@ -739,10 +826,13 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           sort::HybridSorter::Sort(*base, query.order_by, options, &stats));
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*base, perm, {}));
 
+      // The hybrid sort's CPU and device jobs run concurrently inside one
+      // host call, so its whole wall time (with the row materialization
+      // around it) sits on the keygen phase and the kernel phase reads 0.
       RecordPhase(CpuPhase("sort-keygen",
                            cost_.HostKeyGenTime(base->num_rows(), 1) +
                                stats.cpu_sort_time,
-                           config_.query_dop),
+                           config_.query_dop, timer.ElapsedUs()),
                   obs::kCatCpu, &profile, &trace);
       if (stats.jobs_gpu > 0 && gpu_possible) {
         PhaseRecord gp;
@@ -760,10 +850,11 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
 
   // --- No aggregation / no sort: project the selected rows ---
   if (result == nullptr) {
+    const WallTimer timer;
     BLUSIM_ASSIGN_OR_RETURN(
         result, MaterializeRows(*fact, selection, query.projection));
     RecordPhase(CpuPhase("project", cost_.HostScanTime(selection.size(), 16, 1),
-                         config_.query_dop),
+                         config_.query_dop, timer.ElapsedUs()),
                 obs::kCatCpu, &profile, &trace);
   }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "columnar/table.h"
@@ -166,9 +167,11 @@ class Engine {
   // Records a device group-by from the driver's stats: a one-partition
   // run's reservation wait (also when the run failed), then on success the
   // phases, spans, annotations and counters of the fan-out that ran.
+  // `wall_us` is the driver call's host wall time.
   void RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
                            const Result<runtime::GroupByOutput>& out,
-                           QueryProfile* profile, obs::TraceBuilder* trace);
+                           int64_t wall_us, QueryProfile* profile,
+                           obs::TraceBuilder* trace);
 
   // FilterScan over the fact table, recorded as the query's scan phase.
   Result<std::vector<uint32_t>> ScanFact(
@@ -177,9 +180,11 @@ class Engine {
       obs::TraceBuilder* trace);
 
   // Appends `phase` to the profile, stamps its serial elapsed time and
-  // mirrors it as one span in the query trace.
+  // mirrors it as one span in the query trace, whose args lead with the
+  // phase's two clocks (`sim_us`, `wall_us`) before `args`.
   void RecordPhase(PhaseRecord phase, const char* category,
-                   QueryProfile* profile, obs::TraceBuilder* trace);
+                   QueryProfile* profile, obs::TraceBuilder* trace,
+                   std::vector<std::pair<std::string, std::string>> args = {});
 
   // Every counter and histogram the engine updates per query, resolved
   // once at construction so no query takes the registry mutex
@@ -191,7 +196,14 @@ class Engine {
     obs::Counter* router_groupby[3] = {};  // by ExecutionPath
     obs::Counter* groupby_fallbacks = nullptr;
     obs::Counter* budget_capped = nullptr;
-    obs::Counter* kernel[3][2] = {};  // by GroupByKernelKind - 1, fused
+    // Per group-by kernel: executions and the work the kernels reported.
+    struct KernelCounters {
+      obs::Counter* runs = nullptr;
+      obs::Counter* probes = nullptr;
+      obs::Counter* cas_failures = nullptr;
+      obs::Counter* lock_spins = nullptr;
+    };
+    KernelCounters kernel[3][2] = {};  // by GroupByKernelKind - 1, fused
     obs::Counter* bytes_h2d = nullptr;
     obs::Counter* bytes_d2h = nullptr;
     obs::Counter* bytes_staged_avoided = nullptr;

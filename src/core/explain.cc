@@ -149,10 +149,15 @@ std::string ExplainAnalyze(const QuerySpec& query, const Table& fact,
      << "   sort path: " << ExecutionPathName(profile.sort_path)
      << "   gpu used: " << (profile.gpu_used ? "yes" : "no") << "\n";
 
+  // Two clocks side by side: the cost model's simulated time and the host
+  // wall time the engine spent on the node.
   os << "  " << std::left << std::setw(24) << "node" << std::right
-     << std::setw(12) << "actual ms" << std::setw(8) << "dop"
-     << std::setw(8) << "dev" << std::setw(14) << "bytes" << "\n";
+     << std::setw(12) << "sim ms" << std::setw(12) << "wall ms"
+     << std::setw(8) << "dop" << std::setw(8) << "dev" << std::setw(14)
+     << "bytes" << std::setw(12) << "probes/row" << "\n";
+  auto ms = [](int64_t us) { return static_cast<double>(us) / 1000.0; };
   SimTime sum = 0;
+  int64_t wall_sum = 0;
   uint64_t bytes_sum = 0;
   bool any_overlapped = false;
   for (const PhaseRecord& phase : profile.phases) {
@@ -163,13 +168,14 @@ std::string ExplainAnalyze(const QuerySpec& query, const Table& fact,
       any_overlapped = true;
     } else {
       sum += phase.elapsed;
+      wall_sum += phase.wall_us;
     }
     bytes_sum += phase.bytes_moved;
     const std::string label =
         phase.overlapped ? "+ " + phase.label : phase.label;
     os << "  " << std::left << std::setw(24) << label << std::right
-       << std::setw(12) << std::fixed << std::setprecision(3)
-       << (static_cast<double>(phase.elapsed) / 1000.0);
+       << std::fixed << std::setprecision(3) << std::setw(12)
+       << ms(phase.elapsed) << std::setw(12) << ms(phase.wall_us);
     if (phase.kind == PhaseRecord::Kind::kCpu) {
       os << std::setw(8) << phase.dop << std::setw(8) << "-";
     } else {
@@ -180,15 +186,24 @@ std::string ExplainAnalyze(const QuerySpec& query, const Table& fact,
     } else {
       os << std::setw(14) << "-";
     }
+    // Mean hash-table slots the group-by kernels examined per row: about 1
+    // for a well-spread key, far more when probe sequences cluster.
+    if (phase.kernel_rows > 0) {
+      os << std::setw(12) << std::setprecision(2)
+         << static_cast<double>(phase.kernel_probes) /
+                static_cast<double>(phase.kernel_rows);
+    } else {
+      os << std::setw(12) << "-";
+    }
     os << "\n";
   }
   os << "  " << std::left << std::setw(24) << "total" << std::right
-     << std::setw(12) << std::fixed << std::setprecision(3)
-     << (static_cast<double>(sum) / 1000.0) << std::setw(8) << ""
-     << std::setw(8) << "" << std::setw(14) << bytes_sum << "\n";
+     << std::fixed << std::setprecision(3) << std::setw(12) << ms(sum)
+     << std::setw(12) << ms(wall_sum) << std::setw(8) << "" << std::setw(8)
+     << "" << std::setw(14) << bytes_sum << "\n";
   if (any_overlapped) {
-    os << "  (+ marks overlapped per-chunk phases; their wall time is "
-          "carried by the umbrella phase and excluded from the total)\n";
+    os << "  (+ marks overlapped per-chunk phases; their time is carried "
+          "by the umbrella phase and excluded from the totals)\n";
   }
 
   if (!profile.trace.annotations.empty()) {

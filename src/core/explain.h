@@ -26,9 +26,11 @@ std::string RenderGroupByChain(const runtime::GroupByPlan& plan,
                                ExecutionPath path);
 
 // EXPLAIN ANALYZE: the query text plus a per-node table of *measured*
-// simulated times from the execution profile. Each row is one PhaseRecord
-// (plan node); the rows sum to QueryProfile::total_elapsed. Routing and
-// estimate annotations from the query trace are appended.
+// times from the execution profile. Each row is one PhaseRecord (plan
+// node) with its simulated and host wall times in separate columns; the
+// simulated column sums to QueryProfile::total_elapsed. Device group-by
+// rows add the kernels' mean probes per row. Routing and estimate
+// annotations from the query trace are appended.
 std::string ExplainAnalyze(const QuerySpec& query, const columnar::Table& fact,
                            const QueryProfile& profile);
 

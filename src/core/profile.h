@@ -26,6 +26,11 @@ struct PhaseRecord {
   // microseconds); what ExplainAnalyze prints per plan node. Sums to
   // QueryProfile::total_elapsed.
   SimTime elapsed = 0;
+  // Host wall time (steady clock, microseconds) the engine spent on the
+  // work this phase stands for. The second clock: excluded from
+  // total_elapsed and from the concurrency simulator, so it never moves a
+  // simulated number.
+  int64_t wall_us = 0;
   // kCpu: single-thread work in simulated microseconds and the degree of
   // parallelism the operator used.
   SimTime cpu_work = 0;
@@ -39,6 +44,10 @@ struct PhaseRecord {
   // allocations): pinned staging writes for CPU stage phases, PCIe traffic
   // (both directions) for GPU phases. 0 = the phase moves no bulk data.
   uint64_t bytes_moved = 0;
+  // kGpu group-by phases: hash-table slots the kernels examined and the
+  // rows they aggregated (ExplainAnalyze prints probes per row).
+  uint64_t kernel_probes = 0;
+  uint64_t kernel_rows = 0;
   // True for phases that ran inside another phase's wall-clock window (the
   // partitioned path's per-chunk lanes, whose time an umbrella phase
   // carries). Excluded from QueryProfile::total_elapsed, from the

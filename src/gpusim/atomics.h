@@ -135,14 +135,18 @@ inline double AtomicMaxDouble(double* addr, double value) {
 // kernel 3 (section 4.3.3).
 class DeviceSpinLock {
  public:
-  // `word` points into device memory; 0 = unlocked, 1 = locked.
-  static void Lock(uint32_t* word) {
+  // `word` points into device memory; 0 = unlocked, 1 = locked. Returns
+  // the spin count: CAS attempts the acquisition took, 1 when uncontended.
+  static uint64_t Lock(uint32_t* word) {
     std::atomic_ref<uint32_t> ref(*word);
     uint32_t expected = 0;
+    uint64_t spins = 1;
     while (!ref.compare_exchange_weak(expected, 1,
                                       std::memory_order_acquire)) {
       expected = 0;
+      ++spins;
     }
+    return spins;
   }
 
   static bool TryLock(uint32_t* word) {

@@ -6,6 +6,7 @@
 #include "common/bit_util.h"
 
 #include "common/logging.h"
+#include "common/wall_timer.h"
 #include "groupby/kernels.h"
 #include "groupby/staging.h"
 #include "runtime/group_result.h"
@@ -236,8 +237,9 @@ Result<GroupByOutput> GpuGroupBy::Execute(
     GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_ASSIGN_OR_RETURN(
-      RawOutput raw, ExecuteToGroups(plan, device, pinned_pool, thread_pool,
-                                     selection, options, stats));
+      RawOutput raw,
+      ExecuteToGroups(plan, device, pinned_pool, thread_pool, selection,
+                      /*hash_partitions=*/1, options, stats));
   GroupByOutput out;
   out.num_groups = raw.groups.size();
   out.kmv_estimate = raw.kmv_estimate;
@@ -249,7 +251,7 @@ Result<GroupByOutput> GpuGroupBy::Execute(
 Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     const GroupByPlan& plan, SimDevice* device,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-    const std::vector<uint32_t>* selection,
+    const std::vector<uint32_t>* selection, uint32_t hash_partitions,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_CHECK(stats != nullptr);
   *stats = GpuGroupByStats{};
@@ -267,9 +269,12 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
       selection ? selection->size() : plan.table().num_rows();
   const StageMode mode =
       ChooseStageMode(plan, cost, options, input_rows, dop);
+  const WallTimer stage_timer;
   BLUSIM_ASSIGN_OR_RETURN(
       StagedInput staged,
-      StageForDevice(plan, pinned_pool, thread_pool, selection, mode));
+      StageForDevice(plan, pinned_pool, thread_pool, selection, mode,
+                     hash_partitions));
+  stats->stage_wall_us = stage_timer.ElapsedUs();
   const uint64_t rows = staged.rows;
   stats->fused = staged.fused;
   stats->rows_scanned = staged.rows_scanned;
@@ -361,12 +366,15 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
     args.table = table.data();
     args.capacity = capacity;
     args.overflow = &overflow;
+    args.work = &stats->work;
 
     // Fused runs cost through the fused kernel model and report under the
     // fused kernel names.
     const SimTime t = staged.fused ? cost.FusedScanAggregateTime(chosen, kp)
                                    : cost.GroupByKernelTime(chosen, kp);
+    const WallTimer kernel_timer;
     BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
+    stats->kernel_wall_us += kernel_timer.ElapsedUs();
     stats->kernel_time += t;
     device->AccountKernel(staged.fused
                               ? gpusim::GroupByKernelKindFusedName(chosen)

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "gpusim/pinned_pool.h"
 #include "gpusim/sim_device.h"
+#include "groupby/kernels.h"
 #include "groupby/moderator.h"
 #include "groupby/staging.h"
 #include "runtime/cpu_groupby.h"
@@ -17,8 +18,9 @@
 
 namespace blusim::groupby {
 
-// Timing/behaviour record of one device group-by execution. All times are
-// simulated microseconds from the cost model.
+// Timing/behaviour record of one device group-by execution. Times are
+// simulated microseconds from the cost model unless named `*_wall_us`
+// (host wall clock, steady clock).
 struct GpuGroupByStats {
   SimTime stage_time = 0;      // chain + MEMCPY into pinned memory (host)
   SimTime transfer_in = 0;     // PCIe host -> device
@@ -40,6 +42,12 @@ struct GpuGroupByStats {
   // Staged bytes the fused layout avoided shipping for the same survivor
   // set (SoA staging of rows_staged rows minus the fused record stream).
   uint64_t bytes_avoided = 0;
+  // Work the kernels did, summed over every launch including overflowed
+  // attempts.
+  KernelWork work;
+  // Host wall time of the staging sweep and of the kernel launches.
+  int64_t stage_wall_us = 0;
+  int64_t kernel_wall_us = 0;
 
   SimTime total() const {
     return stage_time + transfer_in + table_init + kernel_time +
@@ -82,7 +90,9 @@ class GpuGroupBy {
   // Raw variant used by the partitioned driver: returns the
   // un-materialized group entries plus the KMV estimate so the caller can
   // merge partial results from several device chunks before materializing
-  // once.
+  // once. `hash_partitions` > 1 says the selection is one HashPartition
+  // range of that many; the staging KMV estimate corrects for the range's
+  // shared hash bits (1 for an unpartitioned selection).
   struct RawOutput {
     std::vector<runtime::GroupEntry> groups;
     uint64_t kmv_estimate = 0;
@@ -90,7 +100,7 @@ class GpuGroupBy {
   static Result<RawOutput> ExecuteToGroups(
       const runtime::GroupByPlan& plan, gpusim::SimDevice* device,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
-      const std::vector<uint32_t>* selection,
+      const std::vector<uint32_t>* selection, uint32_t hash_partitions,
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
   // Device bytes a group-by on `rows` input rows with `capacity` hash

@@ -151,33 +151,73 @@ SlotValue LoadRowSlot(const GroupByKernelArgs& args, size_t s, uint64_t i) {
   return LoadSlotValue(slot, args.input->slots[s], i);
 }
 
+// ---------- work counting ----------
+
+// Per-block work counters of one launch. Each block runs on exactly one
+// launcher worker, so its slot takes plain increments; the cache-line
+// padding keeps blocks on different workers off each other's lines.
+class BlockWork {
+ public:
+  explicit BlockWork(uint32_t grid_dim) : slots_(grid_dim) {}
+
+  KernelWork& operator[](const KernelCtx& ctx) {
+    return slots_[ctx.block_idx].work;
+  }
+
+  // Adds the launch's total to `out` (nullptr: not reported).
+  void AddTo(KernelWork* out) const {
+    if (out == nullptr) return;
+    for (const Slot& slot : slots_) *out += slot.work;
+  }
+
+ private:
+  struct alignas(64) Slot {
+    KernelWork work;
+  };
+  std::vector<Slot> slots_;
+};
+
 // ---------- probing ----------
+
+// First probe position of a narrow key: the paper's mod hash (section
+// 4.3.1) over the finalized key. CCAT packing puts the last key column in
+// the low bits, so the raw key's residue clusters multi-column keys whose
+// last column has few values into a few runs of buckets.
+uint64_t NarrowSlot(uint64_t key, uint64_t capacity) {
+  return ModHash(Mix64(key), capacity);
+}
 
 // Finds or claims the hash-table entry for `key` via linear probing with
 // atomicCAS on the key word (<= 64-bit keys, section 4.3.1). Returns the
 // entry pointer or nullptr when the table is full.
 char* FindOrInsertNarrow(char* table, const HashTableLayout& layout,
-                         uint64_t capacity, uint64_t key, uint32_t row_id) {
-  uint64_t pos = ModHash(key, capacity);  // mod hash for narrow keys
-  for (uint64_t probes = 0; probes < capacity; ++probes) {
+                         uint64_t capacity, uint64_t key, uint32_t row_id,
+                         KernelWork* work) {
+  uint64_t pos = NarrowSlot(key, capacity);
+  for (uint64_t probes = 1; probes <= capacity; ++probes) {
     char* entry = table + pos * static_cast<uint64_t>(layout.entry_bytes());
     uint64_t* keyp = reinterpret_cast<uint64_t*>(entry);
     std::atomic_ref<uint64_t> ref(*keyp);
     uint64_t cur = ref.load(std::memory_order_acquire);
-    if (cur == key) return entry;
     if (cur == kEmptyKey64) {
-      const uint64_t prev = AtomicCas64(keyp, kEmptyKey64, key);
-      if (prev == kEmptyKey64) {
+      cur = AtomicCas64(keyp, kEmptyKey64, key);
+      if (cur == kEmptyKey64) {
         // Won the claim; record the representative row (plain store: only
         // the winning thread writes it).
         *reinterpret_cast<uint32_t*>(entry + layout.rep_row_offset()) =
             row_id;
+        work->probes += probes;
         return entry;
       }
-      if (prev == key) return entry;  // lost to a thread with the same key
+      if (cur != key) ++work->cas_failures;  // lost to a different key
+    }
+    if (cur == key) {
+      work->probes += probes;
+      return entry;
     }
     pos = (pos + 1) & (capacity - 1);
   }
+  work->probes += capacity;
   return nullptr;  // table full
 }
 
@@ -187,26 +227,30 @@ char* FindOrInsertNarrow(char* table, const HashTableLayout& layout,
 // the key"; hashed with Murmur).
 char* FindOrInsertWide(char* table, const HashTableLayout& layout,
                        uint64_t capacity, const WideKey& key,
-                       uint32_t row_id) {
+                       uint32_t row_id, KernelWork* work) {
   uint64_t pos = Murmur3_64(key.bytes, key.len) & (capacity - 1);
-  for (uint64_t probes = 0; probes < capacity; ++probes) {
+  for (uint64_t probes = 1; probes <= capacity; ++probes) {
     char* entry = table + pos * static_cast<uint64_t>(layout.entry_bytes());
     uint32_t* lock =
         reinterpret_cast<uint32_t*>(entry + layout.lock_offset());
     uint32_t* rep =
         reinterpret_cast<uint32_t*>(entry + layout.rep_row_offset());
-    DeviceSpinLock::Lock(lock);
-    if (*rep == kEmptyRow) {
+    work->lock_spins += DeviceSpinLock::Lock(lock);
+    bool match = *rep == kEmptyRow;
+    if (match) {
       std::memcpy(entry, key.bytes, key.len);
       *rep = row_id;
-      DeviceSpinLock::Unlock(lock);
+    } else {
+      match = std::memcmp(entry, key.bytes, key.len) == 0;
+    }
+    DeviceSpinLock::Unlock(lock);
+    if (match) {
+      work->probes += probes;
       return entry;
     }
-    const bool match = std::memcmp(entry, key.bytes, key.len) == 0;
-    DeviceSpinLock::Unlock(lock);
-    if (match) return entry;
     pos = (pos + 1) & (capacity - 1);
   }
+  work->probes += capacity;
   return nullptr;
 }
 
@@ -305,7 +349,7 @@ void UpdateSlotPlain(const AggSlot& slot, char* slot_ptr, const SlotValue& v) {
 // Aggregates row i into `entry` in the kernel-1 style: per-payload atomics,
 // falling back to the entry lock for slots without atomic support.
 void AggregateRowAtomic(const GroupByKernelArgs& args, char* entry,
-                        uint64_t i) {
+                        uint64_t i, KernelWork* work) {
   const auto& slots = args.plan->slots();
   const HashTableLayout& layout = *args.layout;
   for (size_t s = 0; s < slots.size(); ++s) {
@@ -315,7 +359,7 @@ void AggregateRowAtomic(const GroupByKernelArgs& args, char* entry,
     if (slot.lock_required) {
       uint32_t* lock =
           reinterpret_cast<uint32_t*>(entry + layout.lock_offset());
-      DeviceSpinLock::Lock(lock);
+      work->lock_spins += DeviceSpinLock::Lock(lock);
       UpdateSlotPlain(slot, slot_ptr, v);
       DeviceSpinLock::Unlock(lock);
     } else {
@@ -324,15 +368,16 @@ void AggregateRowAtomic(const GroupByKernelArgs& args, char* entry,
   }
 }
 
-char* FindOrInsert(const GroupByKernelArgs& args, uint64_t i) {
+char* FindOrInsert(const GroupByKernelArgs& args, uint64_t i,
+                   KernelWork* work) {
   if (args.input != nullptr && args.input->wide_key) {
     const uint32_t row_id = args.input->row_ids.at<uint32_t>(i);
     const WideKey& key = args.input->keys.at<WideKey>(i);
     return FindOrInsertWide(args.table, *args.layout, args.capacity, key,
-                            row_id);
+                            row_id, work);
   }
   return FindOrInsertNarrow(args.table, *args.layout, args.capacity,
-                            LoadRowKey(args, i), LoadRowRep(args, i));
+                            LoadRowKey(args, i), LoadRowRep(args, i), work);
 }
 
 }  // namespace
@@ -357,17 +402,22 @@ Status RunKernelRegular(gpusim::SimDevice* device,
                         const GroupByKernelArgs& args) {
   const uint64_t rows = KernelRows(args);
   LaunchConfig config = gpusim::MakeGridStrideConfig(device->spec(), rows);
-  return device->launcher().Launch(config, [&](const KernelCtx& ctx) {
-    for (uint64_t i = ctx.global_thread(); i < rows;
-         i += ctx.total_threads()) {
-      char* entry = FindOrInsert(args, i);
-      if (entry == nullptr) {
-        args.overflow->fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      AggregateRowAtomic(args, entry, i);
-    }
-  });
+  BlockWork work(config.grid_dim);
+  const Status status =
+      device->launcher().Launch(config, [&](const KernelCtx& ctx) {
+        KernelWork* w = &work[ctx];
+        for (uint64_t i = ctx.global_thread(); i < rows;
+             i += ctx.total_threads()) {
+          char* entry = FindOrInsert(args, i, w);
+          if (entry == nullptr) {
+            args.overflow->fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          AggregateRowAtomic(args, entry, i, w);
+        }
+      });
+  work.AddTo(args.work);
+  return status;
 }
 
 Status RunKernelRowLock(gpusim::SimDevice* device,
@@ -376,27 +426,32 @@ Status RunKernelRowLock(gpusim::SimDevice* device,
   const auto& slots = args.plan->slots();
   const HashTableLayout& layout = *args.layout;
   LaunchConfig config = gpusim::MakeGridStrideConfig(device->spec(), rows);
-  return device->launcher().Launch(config, [&](const KernelCtx& ctx) {
-    for (uint64_t i = ctx.global_thread(); i < rows;
-         i += ctx.total_threads()) {
-      char* entry = FindOrInsert(args, i);
-      if (entry == nullptr) {
-        args.overflow->fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      // One lock acquisition covers every aggregate of the row
-      // (section 4.3.3): cheap when contention is low or the aggregate
-      // count is high.
-      uint32_t* lock =
-          reinterpret_cast<uint32_t*>(entry + layout.lock_offset());
-      DeviceSpinLock::Lock(lock);
-      for (size_t s = 0; s < slots.size(); ++s) {
-        const SlotValue v = LoadRowSlot(args, s, i);
-        UpdateSlotPlain(slots[s], entry + layout.slot_offset(s), v);
-      }
-      DeviceSpinLock::Unlock(lock);
-    }
-  });
+  BlockWork work(config.grid_dim);
+  const Status status =
+      device->launcher().Launch(config, [&](const KernelCtx& ctx) {
+        KernelWork* w = &work[ctx];
+        for (uint64_t i = ctx.global_thread(); i < rows;
+             i += ctx.total_threads()) {
+          char* entry = FindOrInsert(args, i, w);
+          if (entry == nullptr) {
+            args.overflow->fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          // One lock acquisition covers every aggregate of the row
+          // (section 4.3.3): cheap when contention is low or the
+          // aggregate count is high.
+          uint32_t* lock =
+              reinterpret_cast<uint32_t*>(entry + layout.lock_offset());
+          w->lock_spins += DeviceSpinLock::Lock(lock);
+          for (size_t s = 0; s < slots.size(); ++s) {
+            const SlotValue v = LoadRowSlot(args, s, i);
+            UpdateSlotPlain(slots[s], entry + layout.slot_offset(s), v);
+          }
+          DeviceSpinLock::Unlock(lock);
+        }
+      });
+  work.AddTo(args.work);
+  return status;
 }
 
 uint64_t SharedTableCapacity(const HashTableLayout& layout,
@@ -434,6 +489,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
       static_cast<uint32_t>(std::max<uint64_t>(1, CeilDiv(rows,
                                                           kRowsPerBlock)));
   config.shared_mem_bytes = shared_cap * entry_bytes;
+  BlockWork work(config.grid_dim);
 
   // Row range of one block.
   auto block_range = [&](uint32_t b) {
@@ -458,14 +514,16 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
   // Phase 1: partial group-by into shared memory; spill to global on
   // shared-table overflow.
   auto group_phase = [&](const KernelCtx& ctx) {
+    KernelWork* w = &work[ctx];
     const auto [begin, end] = block_range(ctx.block_idx);
     for (uint64_t i = begin + ctx.thread_idx; i < end; i += ctx.block_dim) {
       const uint32_t row_id = LoadRowRep(args, i);
       const uint64_t key = LoadRowKey(args, i);
       // Probe the shared table (plain ops; see memory-model note).
       char* entry = nullptr;
-      uint64_t pos = ModHash(key, shared_cap);
+      uint64_t pos = NarrowSlot(key, shared_cap);
       for (uint64_t probes = 0; probes < shared_cap; ++probes) {
+        ++w->probes;
         char* e = ctx.shared_mem + pos * entry_bytes;
         uint64_t cur;
         std::memcpy(&cur, e, 8);
@@ -483,12 +541,12 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
       }
       if (entry == nullptr) {
         // Shared table full: aggregate directly into the global table.
-        char* gentry = FindOrInsert(args, i);
+        char* gentry = FindOrInsert(args, i, w);
         if (gentry == nullptr) {
           args.overflow->fetch_add(1, std::memory_order_relaxed);
           continue;
         }
-        AggregateRowAtomic(args, gentry, i);
+        AggregateRowAtomic(args, gentry, i, w);
         continue;
       }
       for (size_t s = 0; s < slots.size(); ++s) {
@@ -500,6 +558,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
 
   // Phase 2: merge the block's shared table into the global table.
   auto merge_phase = [&](const KernelCtx& ctx) {
+    KernelWork* w = &work[ctx];
     for (uint64_t e = ctx.thread_idx; e < shared_cap; e += ctx.block_dim) {
       char* sentry = ctx.shared_mem + e * entry_bytes;
       uint64_t key;
@@ -508,7 +567,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
       const uint32_t rep =
           *reinterpret_cast<uint32_t*>(sentry + layout.rep_row_offset());
       char* gentry = FindOrInsertNarrow(args.table, layout, args.capacity,
-                                        key, rep);
+                                        key, rep, w);
       if (gentry == nullptr) {
         args.overflow->fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -537,7 +596,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
         if (slot.lock_required) {
           uint32_t* lock = reinterpret_cast<uint32_t*>(
               gentry + layout.lock_offset());
-          DeviceSpinLock::Lock(lock);
+          w->lock_spins += DeviceSpinLock::Lock(lock);
           UpdateSlotPlain(merge_slot, gp, v);
           DeviceSpinLock::Unlock(lock);
         } else {
@@ -547,9 +606,11 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
     }
   };
 
-  return device->launcher().Launch(
+  const Status status = device->launcher().Launch(
       config, std::vector<gpusim::KernelPhase>{init_phase, group_phase,
                                                merge_phase});
+  work.AddTo(args.work);
+  return status;
 }
 
 }  // namespace blusim::groupby

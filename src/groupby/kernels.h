@@ -37,6 +37,22 @@ struct FusedDeviceInput {
   gpusim::DeviceBuffer records;  // layout.record_bytes * rows
 };
 
+// Work the group-by kernels actually did. Each thread block counts into its
+// own slot and the slots are summed after the launch, so counting adds no
+// shared atomic per row.
+struct KernelWork {
+  uint64_t probes = 0;        // hash-table slots examined (shared + global)
+  uint64_t cas_failures = 0;  // key-claim CAS lost to a different key
+  uint64_t lock_spins = 0;    // DeviceSpinLock CAS attempts (1 uncontended)
+
+  KernelWork& operator+=(const KernelWork& o) {
+    probes += o.probes;
+    cas_failures += o.cas_failures;
+    lock_spins += o.lock_spins;
+    return *this;
+  }
+};
+
 // Arguments shared by all three group-by kernels. Exactly one of `input`
 // (SoA arrays) and `fused` (interleaved record stream) is set; all three
 // kernels accept either form, fusing scan, key load and aggregation into a
@@ -53,6 +69,8 @@ struct GroupByKernelArgs {
   // host grows the table and re-runs (section 4.2 "error detection
   // code-path" for under-estimated group counts).
   std::atomic<uint64_t>* overflow = nullptr;
+  // The launch's work counts are added here (nullptr: not reported).
+  KernelWork* work = nullptr;
 };
 
 // Kernel 1 -- regular queries (section 4.3.1): global hash table,

@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/task_tag.h"
 #include "common/thread.h"
+#include "common/wall_timer.h"
 #include "groupby/layout.h"
 #include "runtime/group_result.h"
 
@@ -89,30 +90,34 @@ uint64_t ChunkBytesNeeded(const GroupByPlan& plan, StageMode mode,
 
 // Runs one chunk on a device placed through the scheduler's FIFO-ticket
 // reservation wait. `gpu` carries the chunk's own row and group estimates,
-// which size the reservation. A failure returns its status with the wait
-// already recorded in `slot`.
+// which size the reservation; `hash_partitions` is the fan-out the chunk's
+// selection is one HashPartition range of (1 when unpartitioned). A
+// failure returns its status with the wait already recorded in `slot`.
 Status RunDeviceChunk(const GroupByPlan& plan, sched::GpuScheduler* scheduler,
                       gpusim::PinnedHostPool* pinned_pool,
                       runtime::ThreadPool* thread_pool, StageMode mode,
                       const std::vector<uint32_t>* selection,
-                      const GpuGroupByOptions& gpu,
+                      uint32_t hash_partitions, const GpuGroupByOptions& gpu,
                       const sched::WaitOptions& wait, PartitionSlot* slot) {
+  const WallTimer timer;
   SimTime waited = 0;
   auto pick = scheduler->PickDeviceWithWait(
       ChunkBytesNeeded(plan, mode, gpu.estimated_rows, gpu.estimated_groups),
       &waited, wait);
   slot->chunk.wait_time = waited;
+  slot->chunk.wait_wall_us = timer.ElapsedUs();
   BLUSIM_RETURN_NOT_OK(pick.status());
   slot->chunk.device_id = pick.value()->id();
   BLUSIM_ASSIGN_OR_RETURN(
       GpuGroupBy::RawOutput raw,
       GpuGroupBy::ExecuteToGroups(plan, pick.value(), pinned_pool,
-                                  thread_pool, selection, gpu,
-                                  &slot->chunk.gpu));
+                                  thread_pool, selection, hash_partitions,
+                                  gpu, &slot->chunk.gpu));
   slot->gpu_groups = std::move(raw.groups);
   slot->chunk.groups = slot->gpu_groups.size();
   slot->kmv = raw.kmv_estimate;
   slot->chunk.on_gpu = true;
+  slot->chunk.wall_us = timer.ElapsedUs();
   return Status::OK();
 }
 
@@ -243,7 +248,8 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     stats->num_partitions = 1;
     const Status st =
         RunDeviceChunk(plan, scheduler, pinned_pool, thread_pool, mode,
-                       selection, options.gpu, options.wait, &slot);
+                       selection, /*hash_partitions=*/1, options.gpu,
+                       options.wait, &slot);
     if (!st.ok()) {
       stats->chunks.push_back(c);  // keeps the reservation wait
       return st;
@@ -307,6 +313,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // Hash every selected key and scatter its row id, morsel-parallel with
   // per-morsel buckets concatenated in morsel order so partition contents
   // (and float merge order downstream) are deterministic run-to-run.
+  const WallTimer sweep_timer;
   const uint64_t num_morsels =
       runtime::NumMorsels(total_rows, kSweepMorselRows);
   std::vector<std::vector<std::vector<uint32_t>>> morsel_buckets(num_morsels);
@@ -339,6 +346,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     }
   }
   morsel_buckets.clear();
+  stats->partition_wall_us = sweep_timer.ElapsedUs();
   stats->partition_time =
       cost.HostKeyGenTime(total_rows, 1) + cost.HostMemcpyTime(total_rows * 4);
 
@@ -424,6 +432,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // CPU-chain execution of one partition; callable concurrently (the pool
   // supports concurrent ParallelFor callers).
   auto run_cpu = [&](uint32_t p, PartitionSlot* slot) -> Status {
+    const WallTimer timer;
     const std::vector<uint32_t>& sel = partitions[p];
     auto flat = runtime::CpuGroupBy::ExecuteToFlat(plan, thread_pool, &sel);
     BLUSIM_RETURN_NOT_OK(flat.status());
@@ -440,6 +449,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
             sel.size(), std::max<uint64_t>(1, slot->chunk.groups),
             static_cast<int>(num_slots), 1)) /
         host_factor);
+    slot->chunk.wall_us = timer.ElapsedUs();
     return Status();
   };
 
@@ -451,7 +461,8 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     gopts.estimated_groups =
         std::max<uint64_t>(1, estimated_groups / num_partitions);
     return RunDeviceChunk(plan, scheduler, pinned_pool, thread_pool, mode,
-                          &partitions[p], gopts, options.wait, slot);
+                          &partitions[p], num_partitions, gopts, options.wait,
+                          slot);
   };
 
   SimTime cpu_busy = 0;
@@ -485,7 +496,13 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
       slot->chunk.gpu_fallback = true;
       slot->chunk.on_gpu = false;
       slot->chunk.device_id = -1;
-      slot->chunk.gpu = GpuGroupByStats{};
+      // Only what the failed attempt's kernels did survives the reset: the
+      // kernel-work counters report it.
+      GpuGroupByStats failed;
+      failed.kernel_used = slot->chunk.gpu.kernel_used;
+      failed.fused = slot->chunk.gpu.fused;
+      failed.work = slot->chunk.gpu.work;
+      slot->chunk.gpu = failed;
       Status cpu_st = run_cpu(p, slot);
       if (!cpu_st.ok()) {
         fail(cpu_st);
@@ -541,6 +558,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // Partitions are disjoint in group space (equal keys share a partition),
   // so appending each partition's groups in partition-id order is a
   // complete, deterministic merge.
+  const WallTimer merge_timer;
   uint64_t total_groups = 0;
   for (uint32_t p = 0; p < num_partitions; ++p) {
     if (slots[p].used) total_groups += slots[p].chunk.groups;
@@ -573,6 +591,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   out.kmv_estimate = kmv_estimate;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
                           runtime::MaterializeGroupsFlat(plan, rep_rows, accs));
+  stats->merge_wall_us = merge_timer.ElapsedUs();
 
   // Concatenation cost: one pass over the final rep-row/accumulator
   // arrays plus per-group bookkeeping.

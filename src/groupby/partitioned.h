@@ -24,6 +24,10 @@ struct PartitionChunkStats {
   SimTime wait_time = 0;     // scheduler reservation wait (device chunks)
   SimTime cpu_time = 0;      // modeled CPU-chain wall time (CPU chunks)
   GpuGroupByStats gpu;       // device timings (on_gpu chunks)
+  // Host wall time (steady clock) of the reservation wait and of the whole
+  // chunk in its lane: wait + staging + device job, or the CPU chain.
+  int64_t wait_wall_us = 0;
+  int64_t wall_us = 0;
 };
 
 struct PartitionedStats {
@@ -51,6 +55,10 @@ struct PartitionedStats {
   // End-to-end simulated elapsed: partition sweep + staging + the slower
   // of the two lanes + merge.
   SimTime elapsed = 0;
+  // Host wall time of the partition sweep and of the concatenation merge
+  // (including materializing the result).
+  int64_t partition_wall_us = 0;
+  int64_t merge_wall_us = 0;
 };
 
 // How Execute splits its input: the router's decision. One partition is

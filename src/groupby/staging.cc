@@ -38,7 +38,8 @@ struct SharedStageState {
 Result<StagedInput> StageSoA(const GroupByPlan& plan,
                              gpusim::PinnedHostPool* pinned_pool,
                              runtime::ThreadPool* pool,
-                             const std::vector<uint32_t>* selection) {
+                             const std::vector<uint32_t>* selection,
+                             uint32_t hash_partitions) {
   const uint64_t n =
       selection ? selection->size() : plan.table().num_rows();
   const auto& slots = plan.slots();
@@ -164,7 +165,7 @@ Result<StagedInput> StageSoA(const GroupByPlan& plan,
   {
     common::MutexLock lock(&shared.mu);
     BLUSIM_RETURN_NOT_OK(shared.first_error);
-    staged.kmv_estimate = shared.kmv.Estimate();
+    staged.kmv_estimate = shared.kmv.Estimate(hash_partitions);
   }
 
   if (key_sentinel_hit.load()) {
@@ -188,7 +189,8 @@ struct FusedFieldSpec {
 Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
                                       gpusim::PinnedHostPool* pinned_pool,
                                       runtime::ThreadPool* pool,
-                                      const std::vector<uint32_t>* selection) {
+                                      const std::vector<uint32_t>* selection,
+                                      uint32_t hash_partitions) {
   BLUSIM_ASSIGN_OR_RETURN(FusedRecordLayout layout,
                           FusedRecordLayout::Make(plan));
   const columnar::Table& table = plan.table();
@@ -328,7 +330,7 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
   staged.transfer_bytes = staged.rows * stride_bytes;
   {
     common::MutexLock lock(&shared.mu);
-    staged.kmv_estimate = shared.kmv.Estimate();
+    staged.kmv_estimate = shared.kmv.Estimate(hash_partitions);
   }
 
   if (key_sentinel_hit.load()) {
@@ -369,15 +371,16 @@ Result<StagedInput> StageForDevice(const GroupByPlan& plan,
                                    gpusim::PinnedHostPool* pinned_pool,
                                    runtime::ThreadPool* pool,
                                    const std::vector<uint32_t>* selection,
-                                   StageMode mode) {
+                                   StageMode mode, uint32_t hash_partitions) {
   // A deferred predicate can only be evaluated by the fused sweep; the SoA
   // MEMCPY chain expects its filter to have run upstream (FilterScan), so a
   // plan carrying a stage filter always takes the fused path regardless of
   // the cost-based mode choice.
   if (mode == StageMode::kFusedRecords || !plan.stage_filter().empty()) {
-    return StageFusedRecords(plan, pinned_pool, pool, selection);
+    return StageFusedRecords(plan, pinned_pool, pool, selection,
+                             hash_partitions);
   }
-  return StageSoA(plan, pinned_pool, pool, selection);
+  return StageSoA(plan, pinned_pool, pool, selection, hash_partitions);
 }
 
 }  // namespace blusim::groupby

@@ -83,6 +83,9 @@ uint64_t UnfusedStagedBytes(const runtime::GroupByPlan& plan, uint64_t rows);
 // record order across morsels is nondeterministic (group-by results do not
 // depend on it).
 //
+// `hash_partitions` > 1 says the selection is one HashPartition range of
+// that many, so the KMV estimate drops the hashes' shared top bits.
+//
 // Fails with:
 //  * OutOfHostMemory    -- pinned pool cannot hold the staged input
 //  * NotSupported       -- a packed key collides with the empty-entry
@@ -93,7 +96,8 @@ Result<StagedInput> StageForDevice(const runtime::GroupByPlan& plan,
                                    gpusim::PinnedHostPool* pinned_pool,
                                    runtime::ThreadPool* pool,
                                    const std::vector<uint32_t>* selection,
-                                   StageMode mode = StageMode::kSoA);
+                                   StageMode mode = StageMode::kSoA,
+                                   uint32_t hash_partitions = 1);
 
 }  // namespace blusim::groupby
 

@@ -1,13 +1,13 @@
 #include "harness/serve_driver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
 
 #include "common/annotations.h"
 #include "common/thread.h"
+#include "common/wall_timer.h"
 
 namespace blusim::harness {
 
@@ -36,12 +36,9 @@ Result<ServedRunResult> RunServedStreams(
           if (!state.first_error.ok()) return;
           ++state.run.submitted;
         }
-        const auto submit_start = std::chrono::steady_clock::now();
+        const WallTimer submit_timer;
         auto qr = service->Submit(wq.spec, tenant);
-        const int64_t wall_e2e_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - submit_start)
-                .count();
+        const int64_t wall_e2e_us = submit_timer.ElapsedUs();
         common::MutexLock lock(&state.mu);
         if (!qr.ok()) {
           if (qr.status().code() == StatusCode::kOverloaded) {
@@ -76,19 +73,17 @@ Result<ServedRunResult> RunServedStreams(
     }
   };
 
-  const auto start = std::chrono::steady_clock::now();
+  const WallTimer run_timer;
   std::vector<common::Thread> threads;
   threads.reserve(static_cast<size_t>(streams - 1));
   for (int s = 1; s < streams; ++s) threads.emplace_back(stream_fn, s);
   stream_fn(0);
   common::JoinAll(&threads);
-  const auto end = std::chrono::steady_clock::now();
+  const int64_t wall_us = run_timer.ElapsedUs();
 
   common::MutexLock lock(&state.mu);
   BLUSIM_RETURN_NOT_OK(state.first_error);
-  state.run.wall_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-          .count();
+  state.run.wall_us = wall_us;
   return std::move(state.run);
 }
 
@@ -156,14 +151,12 @@ Result<AsyncRunResult> RunServedAsync(
     if (tenant_idx < options.deadline_tenants && options.deadline_us > 0) {
       sopts.deadline_us = options.deadline_us;
     }
-    const auto submitted_at = std::chrono::steady_clock::now();
-    sopts.on_complete = [&eq, tenant_idx, submitted_at](
+    const WallTimer submit_timer;
+    sopts.on_complete = [&eq, tenant_idx, submit_timer](
                             const Result<core::QueryResult>& r) {
       Done d;
       d.tenant = tenant_idx;
-      d.e2e_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - submitted_at)
-                     .count();
+      d.e2e_us = submit_timer.ElapsedUs();
       if (r.ok()) {
         d.ok = true;
         d.degraded = r->profile.degraded;
@@ -190,7 +183,7 @@ Result<AsyncRunResult> RunServedAsync(
     ++run.submitted;
   };
 
-  const auto start = std::chrono::steady_clock::now();
+  const WallTimer run_timer;
   // Prime every tenant's window; from here on the client thread only
   // reacts to completions, keeping in_flight submissions outstanding.
   for (int t = 0; t < tenants; ++t) {
@@ -224,17 +217,12 @@ Result<AsyncRunResult> RunServedAsync(
       // Fairness basis: every tenant still holds its full window here, so
       // achieved admission shares reflect the scheduler, not the drain.
       refill = false;
-      run.wall_to_target_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
+      run.wall_to_target_us = run_timer.ElapsedUs();
       snapshot = service->tenant_stats();
     }
     if (refill) submit_one(d.tenant);
   }
-  run.wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
+  run.wall_us = run_timer.ElapsedUs();
   if (snapshot.empty()) snapshot = service->tenant_stats();
 
   const serve::ServiceStats sstats = service->stats();

@@ -82,8 +82,9 @@ class Gauge {
 // sharding buys little here; the counters above carry the hot paths).
 class Histogram {
  public:
-  // Bounded bucket count: le 2^0 .. 2^19 us (~524 ms), then +Inf.
-  static constexpr int kNumBuckets = 20;
+  // Bounded bucket count: le 2^0 .. 2^28 us (~268 s), then +Inf. Wall
+  // latencies of never-fits queries and multiuser tails run to seconds.
+  static constexpr int kNumBuckets = 29;
 
   Histogram() = default;
   Histogram(const Histogram&) = delete;

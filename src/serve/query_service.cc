@@ -14,13 +14,6 @@ int64_t WallNowUs() {
       .count();
 }
 
-int64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return std::max<int64_t>(
-      0, std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - since)
-             .count());
-}
-
 // Scales a base budget by a tenant weight, clamped to `cap` (0 = no cap).
 // A base of 0 means "unlimited" and stays unlimited at any weight.
 uint64_t ScaleBudget(uint64_t base, double weight, uint64_t cap) {
@@ -248,10 +241,9 @@ QueryHandle QueryService::SubmitAsync(const core::QuerySpec& query,
   ticket->qclass = core::QueryShapeName(query);
   ticket->priority = opts.priority;
   ticket->deadline_us = opts.deadline_us;
-  ticket->enqueued = std::chrono::steady_clock::now();
   if (opts.deadline_us > 0) {
     ticket->deadline =
-        ticket->enqueued + std::chrono::microseconds(opts.deadline_us);
+        ticket->enqueued.start() + std::chrono::microseconds(opts.deadline_us);
   }
   ticket->on_complete = std::move(opts.on_complete);
 
@@ -294,7 +286,7 @@ QueryHandle QueryService::SubmitAsync(const core::QuerySpec& query,
         Ticket* best = victim_tenant->queue.back().get();
         if (back->priority < best->priority ||
             (back->priority == best->priority &&
-             back->enqueued > best->enqueued)) {
+             back->enqueued.start() > best->enqueued.start())) {
           victim_tenant = t.get();
         }
       }
@@ -518,7 +510,7 @@ void QueryService::CompleteShed(ShedOutcome shed) {
   rec.tenant = t->tenant;
   rec.outcome = obs::FlightRecord::Outcome::kShed;
   rec.anomaly = "shed";
-  rec.admission_wait_us = static_cast<uint64_t>(ElapsedUs(t->enqueued));
+  rec.admission_wait_us = static_cast<uint64_t>(t->enqueued.ElapsedUs());
   rec.wall_ts_us = WallNowUs();
   rec.trace = tb.Finish();
   flight_->Record(std::move(rec));
@@ -534,7 +526,7 @@ void QueryService::ExecuteTicket(std::unique_ptr<Ticket> ticket) {
   // Charge the wall-clock queue wait into the query's simulated profile
   // 1:1, so served latencies include the admission delay.
   core::ExecOptions opts = ticket->owner->exec_opts;
-  opts.admission_wait = static_cast<SimTime>(ElapsedUs(ticket->enqueued));
+  opts.admission_wait = static_cast<SimTime>(ticket->enqueued.ElapsedUs());
   admission_wait_us_->Observe(static_cast<uint64_t>(opts.admission_wait));
 
   auto result = engine_->Execute(ticket->query, opts);

@@ -14,6 +14,7 @@
 
 #include "common/annotations.h"
 #include "common/thread.h"
+#include "common/wall_timer.h"
 #include "core/engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/window.h"
@@ -275,7 +276,7 @@ class QueryService {
     const char* qclass = "";
     int priority = 0;
     int64_t deadline_us = 0;
-    std::chrono::steady_clock::time_point enqueued;
+    WallTimer enqueued;  // started at submission
     std::chrono::steady_clock::time_point deadline;  // valid iff deadline_us
     std::promise<Result<core::QueryResult>> promise;
     std::function<void(const Result<core::QueryResult>&)> on_complete;

@@ -151,6 +151,31 @@ TEST(KmvTest, MergeEquivalentToUnion) {
   EXPECT_EQ(a.Estimate(), all.Estimate());
 }
 
+TEST(KmvTest, HashPartitionEstimateDropsSharedTopBits) {
+  // The hashes of one HashPartition range share its top bits, so only the
+  // bits below them are uniform. Without the correction the estimate
+  // follows the partition index: about P-fold high for partition 0 and
+  // pinned near (k - 1) * P / p for partition p.
+  constexpr uint32_t kPartitions = 8;
+  constexpr uint64_t kDistinct = 10000;
+  for (const uint32_t part : {0u, 3u, 7u}) {
+    KmvSketch sketch(256);
+    uint64_t added = 0;
+    for (uint64_t v = 0; added < kDistinct; ++v) {
+      const uint64_t h = Mix64(v);
+      if (HashPartition(h, kPartitions) != part) continue;
+      sketch.AddHash(h);
+      ++added;
+    }
+    const double truth = static_cast<double>(kDistinct);
+    EXPECT_NEAR(static_cast<double>(sketch.Estimate(kPartitions)) / truth,
+                1.0, 0.15)
+        << "partition " << part;
+    const double raw = static_cast<double>(sketch.Estimate()) / truth;
+    EXPECT_TRUE(raw > 4.0 || raw < 0.25) << "partition " << part << " " << raw;
+  }
+}
+
 TEST(BitUtilTest, NextPow2) {
   EXPECT_EQ(NextPow2(0), 1u);
   EXPECT_EQ(NextPow2(1), 1u);

@@ -244,22 +244,35 @@ TEST_F(GroupByRecordTest, DeferredFusedSingleDeviceRun) {
             (std::vector<PhaseKey>{{"groupby-stage", kCpuPhase, false},
                                    {"groupby-kernel", kGpuPhase, false}}));
   EXPECT_EQ(AnnotationKeys(p),
-            (std::vector<std::string>{"kmv_estimate", "groupby_path",
-                                      "kernel", "fusion", "bytes_h2d",
-                                      "bytes_d2h", "bytes_staged_avoided",
-                                      "actual_groups"}));
+            (std::vector<std::string>{
+                "kmv_estimate", "groupby_path", "kernel", "fusion",
+                "bytes_h2d", "bytes_d2h", "bytes_staged_avoided",
+                "kernel_probes", "kernel_cas_failures", "kernel_lock_spins",
+                "actual_groups"}));
   EXPECT_EQ(Annotation(p, "fusion"), "on");
   EXPECT_EQ(Annotation(p, "actual_groups"), "1000");
   EXPECT_EQ(r->table->num_rows(), 1000u);
-  // The device job's four sub-spans, the kernel carrying its retries.
+  // The device job's four sub-spans, the kernel carrying its two clocks,
+  // its retries and the work it counted.
   const std::string kernel = "kernel:" + Annotation(p, "kernel");
   for (const char* span : {"transfer-in", "hash-init", "transfer-out"}) {
     EXPECT_NE(p.trace.FindSpan(span), nullptr) << span;
   }
   const obs::TraceSpan* k = p.trace.FindSpan(kernel);
   ASSERT_NE(k, nullptr) << kernel;
-  ASSERT_EQ(k->args.size(), 1u);
-  EXPECT_EQ(k->args[0].first, "retries");
+  std::vector<std::string> arg_keys;
+  for (const auto& [key, value] : k->args) arg_keys.push_back(key);
+  EXPECT_EQ(arg_keys,
+            (std::vector<std::string>{"sim_us", "wall_us", "retries",
+                                      "probes", "cas_failures",
+                                      "lock_spins"}));
+  EXPECT_EQ(k->args[0].second, std::to_string(k->duration()));
+  // Every group-by row was probed at least once, and the probes reached
+  // the annotation and the kernel's counter.
+  EXPECT_GE(std::stoull(k->args[3].second), 1000u);
+  EXPECT_EQ(k->args[3].second, Annotation(p, "kernel_probes"));
+  EXPECT_EQ(CounterValue("blusim_kernel_probes_total"),
+            std::stoull(Annotation(p, "kernel_probes")));
   // The kernel phase carries the PCIe bytes the annotations report.
   const PhaseRecord& device = p.phases[1];
   EXPECT_EQ(device.bytes_moved,
@@ -294,7 +307,11 @@ TEST_F(GroupByRecordTest, JoinedSingleDeviceRun) {
   std::vector<std::string> keys = {"kmv_estimate", "groupby_path", "kernel",
                                    "fusion",       "bytes_h2d",   "bytes_d2h"};
   if (Annotation(p, "fusion") == "on") keys.push_back("bytes_staged_avoided");
-  keys.push_back("actual_groups");
+  for (const char* key :
+       {"kernel_probes", "kernel_cas_failures", "kernel_lock_spins",
+        "actual_groups"}) {
+    keys.push_back(key);
+  }
   EXPECT_EQ(AnnotationKeys(p), keys);
   EXPECT_EQ(Annotation(p, "actual_groups"), "500");
 }

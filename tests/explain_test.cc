@@ -139,12 +139,16 @@ TEST(ExplainAnalyzeTest, RendersPhasesAndAnnotations) {
   scan.kind = PhaseRecord::Kind::kCpu;
   scan.dop = 4;
   scan.elapsed = 1500;
+  scan.wall_us = 2250;
   profile.phases.push_back(scan);
   PhaseRecord kernel;
   kernel.label = "gpu-groupby";
   kernel.kind = PhaseRecord::Kind::kGpu;
   kernel.device_id = 1;
   kernel.elapsed = 500;
+  kernel.wall_us = 750;
+  kernel.kernel_probes = 300;
+  kernel.kernel_rows = 200;
   profile.phases.push_back(kernel);
   profile.total_elapsed = 2000;
   profile.trace.annotations = {{"kernel", "groupby_regular"}};
@@ -156,8 +160,15 @@ TEST(ExplainAnalyzeTest, RendersPhasesAndAnnotations) {
   EXPECT_NE(out.find("1.500"), std::string::npos);
   EXPECT_NE(out.find("gpu-groupby"), std::string::npos);
   EXPECT_NE(out.find("0.500"), std::string::npos);
-  // The total row is the sum of the per-node times.
+  // The total row is the sum of the per-node times, on each clock.
   EXPECT_NE(out.find("2.000"), std::string::npos);
+  EXPECT_NE(out.find("3.000"), std::string::npos);
+  // Both clocks are named; the kernel row carries its probes per row.
+  EXPECT_NE(out.find("sim ms"), std::string::npos) << out;
+  EXPECT_NE(out.find("wall ms"), std::string::npos) << out;
+  EXPECT_NE(out.find("2.250"), std::string::npos) << out;
+  EXPECT_NE(out.find("probes/row"), std::string::npos) << out;
+  EXPECT_NE(out.find("1.50\n"), std::string::npos) << out;
   EXPECT_NE(out.find("annotations: kernel=groupby_regular"),
             std::string::npos);
 }

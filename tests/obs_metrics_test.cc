@@ -39,13 +39,13 @@ TEST(HistogramTest, PowerOfTwoBucketPlacement) {
   h.Observe(1);   // <= 1      -> bucket 0
   h.Observe(2);   // <= 2      -> bucket 1
   h.Observe(3);   // <= 4      -> bucket 2
-  h.Observe(1ULL << 25);  // beyond 2^19 -> +Inf bucket
+  h.Observe(1ULL << 30);  // beyond 2^28 -> +Inf bucket
   EXPECT_EQ(h.BucketCount(0), 2u);
   EXPECT_EQ(h.BucketCount(1), 1u);
   EXPECT_EQ(h.BucketCount(2), 1u);
   EXPECT_EQ(h.BucketCount(Histogram::kNumBuckets), 1u);
   EXPECT_EQ(h.Count(), 5u);
-  EXPECT_EQ(h.Sum(), 0u + 1 + 2 + 3 + (1ULL << 25));
+  EXPECT_EQ(h.Sum(), 0u + 1 + 2 + 3 + (1ULL << 30));
 }
 
 TEST(RegistryTest, SameNameAndLabelsSameInstrument) {

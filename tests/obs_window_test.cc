@@ -79,9 +79,9 @@ TEST(WindowedHistogramTest, QuantileMatchesBucketBounds) {
 
 TEST(WindowedHistogramTest, OverflowBucketReportsCeiling) {
   WindowedHistogram h(SmallWindow());
-  // Beyond the last finite bound (2^19): falls in +Inf, quantile reports
+  // Beyond the last finite bound (2^28): falls in +Inf, quantile reports
   // one doubling past the last finite bound.
-  h.ObserveAt(5'000'000, 0);
+  h.ObserveAt(1ULL << 30, 0);
   const WindowSnapshot snap = h.Snapshot(0);
   EXPECT_EQ(snap.QuantileUpperBound(0.5),
             Histogram::BucketBound(Histogram::kNumBuckets - 1) * 2);

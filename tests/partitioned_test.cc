@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/wall_timer.h"
 #include "core/engine.h"
 #include "groupby/gpu_groupby.h"
 #include "groupby/layout.h"
@@ -282,7 +283,9 @@ TEST_F(PartitionedTest, EngineRecordsModeledUpgrade) {
   for (const auto& kv : p.trace.annotations) keys.push_back(kv.first);
   EXPECT_EQ(keys, (std::vector<std::string>{
                       "kmv_estimate", "partitioned_upgrade", "groupby_path",
-                      "partitions", "cpu_split", "actual_groups"}));
+                      "partitions", "cpu_split", "kernel_probes",
+                      "kernel_cas_failures", "kernel_lock_spins",
+                      "actual_groups"}));
   EXPECT_EQ(*p.trace.FindAnnotation("partitioned_upgrade"), "modeled");
   const uint64_t partitions =
       std::stoull(*p.trace.FindAnnotation("partitions"));
@@ -315,6 +318,59 @@ TEST_F(PartitionedTest, EngineRecordsModeledUpgrade) {
   }
   EXPECT_FALSE(phases[0].overlapped);
   EXPECT_FALSE(phases[1].overlapped);
+}
+
+TEST_F(PartitionedTest, WallSplitFitsTheQuery) {
+  // The device chunks stage and run on concurrent lanes, so their wall
+  // time must stay inside the overlapped per-chunk phases: the phases a
+  // wall total adds up (the non-overlapped ones) may not claim more than
+  // the query's own wall time, and no chunk outlasts the lanes' window.
+  auto t = MakeTable(150000, 20000);
+  blusim::core::EngineConfig config;
+  config.cpu_threads = 2;
+  config.num_devices = 4;
+  // Devices too small for the query, so it must partition.
+  config.device_spec = config.device_spec.WithMemory(3ULL << 20);
+  config.enable_partitioned_gpu = true;
+  config.partitioned_cpu_split = 0.0;  // every chunk on a device lane
+  config.thresholds.t1_min_rows = 1000;
+  blusim::core::Engine engine(config);
+  ASSERT_TRUE(engine.RegisterTable("t", t).ok());
+  blusim::core::QuerySpec q;
+  q.fact_table = "t";
+  q.groupby = Spec();
+  for (int rep = 0; rep < 3; ++rep) {
+    const WallTimer timer;
+    auto r = engine.Execute(q);
+    const int64_t query_wall_us = timer.ElapsedUs();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const blusim::core::QueryProfile& p = r->profile;
+    ASSERT_EQ(p.groupby_path, blusim::core::ExecutionPath::kPartitioned);
+
+    int64_t sum_wall_us = 0;
+    int64_t lanes_wall_us = -1;
+    int64_t stage_wall_us = -1;
+    for (const auto& phase : p.phases) {
+      EXPECT_GE(phase.wall_us, 0) << phase.label;
+      if (phase.overlapped) continue;
+      sum_wall_us += phase.wall_us;
+      if (phase.label == "groupby-partitioned") lanes_wall_us = phase.wall_us;
+      if (phase.label == "groupby-partition-stage") {
+        stage_wall_us = phase.wall_us;
+      }
+    }
+    EXPECT_LE(sum_wall_us, query_wall_us);
+    ASSERT_GE(lanes_wall_us, 0);
+    EXPECT_EQ(stage_wall_us, 0);
+    int chunks = 0;
+    for (const auto& phase : p.phases) {
+      if (!phase.overlapped) continue;
+      ++chunks;
+      EXPECT_GT(phase.wall_us, 0) << phase.label;
+      EXPECT_LE(phase.wall_us, lanes_wall_us) << phase.label;
+    }
+    EXPECT_GE(chunks, 4);
+  }
 }
 
 }  // namespace

@@ -192,6 +192,8 @@ TEST(PrometheusExportTest, HistogramExpansionIsCumulative) {
   // All finite buckets carry the cumulative count from then on.
   EXPECT_NE(text.find("blusim_lat_us_bucket{le=\"524288\"} 2\n"),
             std::string::npos);
+  EXPECT_NE(text.find("blusim_lat_us_bucket{le=\"268435456\"} 2\n"),
+            std::string::npos);
   EXPECT_NE(text.find("blusim_lat_us_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
   EXPECT_NE(text.find("blusim_lat_us_count 3\n"), std::string::npos);
