@@ -46,6 +46,13 @@ struct U64Hash {
   size_t operator()(uint64_t k) const { return static_cast<size_t>(Mix64(k)); }
 };
 
+// One group of the baseline's node-per-group maps, with its own heap
+// accumulator vector.
+struct GroupEntry {
+  uint32_t rep_row = 0;
+  std::vector<AccValue> slots;
+};
+
 Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
                                        ThreadPool* pool) {
   const uint64_t total_rows = plan.table().num_rows();
@@ -104,13 +111,18 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
   }
   BLUSIM_RETURN_NOT_OK(first_error);
 
-  std::vector<GroupEntry> groups;
-  groups.reserve(global.size());
-  for (auto& [key, entry] : global) groups.push_back(std::move(entry));
+  FlatGroups groups;
+  groups.rep_rows.reserve(global.size());
+  groups.accs.reserve(global.size() * num_slots);
+  for (auto& [key, entry] : global) {
+    groups.rep_rows.push_back(entry.rep_row);
+    groups.accs.insert(groups.accs.end(), entry.slots.begin(),
+                       entry.slots.end());
+  }
   GroupByOutput out;
-  out.num_groups = groups.size();
+  out.num_groups = groups.num_groups();
   out.kmv_estimate = global_kmv.Estimate();
-  BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroups(plan, groups));
+  BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroupsFlat(plan, groups));
   return out;
 }
 

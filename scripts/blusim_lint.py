@@ -25,6 +25,11 @@ actually built):
   D. no unseeded nondeterminism -- rand()/srand()/std::random_device/
      drand48 are banned in src/ outside src/harness/ (workloads must be
      reproducible from their seeds; common/rng.h is the seeded source).
+  E. one group-by price -- src/core/ and src/groupby/partitioned.cc (the
+     router, the split choice and PartitionedGroupBy) may not call
+     the CostModel group-by primitives directly; they price and charge a
+     group-by through the term functions of src/groupby/price.h, so no
+     second copy of the price can grow back.
 
 Usage:
   scripts/blusim_lint.py [--root DIR] [--compile-commands JSON] [-q]
@@ -121,6 +126,13 @@ NONDET_RES = [
     (re.compile(r"\bl?l?drand48\s*\("), "drand48()"),
 ]
 NONDET_EXEMPT_PREFIX = "src/harness/"
+
+# --- check E: one group-by price ----------------------------------------
+
+PRICE_PRIMITIVE_RE = re.compile(
+    r"\b(HostGroupByTime|HostFusedStageTime|GroupByKernelTime|"
+    r"FusedScanAggregateTime|HashTableInitTime)\s*\(")
+PRICE_CLIENTS = ("src/core/", "src/groupby/partitioned.cc")
 
 
 class Finding:
@@ -378,6 +390,24 @@ def check_nondeterminism(root, files):
     return findings
 
 
+def check_price(root, files):
+    findings = []
+    for rel in files:
+        norm = rel.replace(os.sep, "/")
+        if not norm.startswith(PRICE_CLIENTS):
+            continue
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            m = PRICE_PRIMITIVE_RE.search(line)
+            if m:
+                findings.append(Finding(
+                    "price", rel, lineno,
+                    f"direct CostModel::{m.group(1)} call; price and charge "
+                    "a group-by through src/groupby/price.h"))
+    return findings
+
+
 def check_compile_db(root, files, db_path):
     """Every src/ .cc must be in the compile database: a file that is not
     built is a file none of the compiler-enforced checks ever saw."""
@@ -414,7 +444,7 @@ def run_checks(root, db_path=None, checks=None):
     files = list(iter_source_files(root))
     findings = []
     enabled = checks or ("layering", "metrics", "primitives",
-                         "nondeterminism", "compiledb")
+                         "nondeterminism", "price", "compiledb")
     if "layering" in enabled:
         findings += check_layering(root, files)
     if "metrics" in enabled:
@@ -423,6 +453,8 @@ def run_checks(root, db_path=None, checks=None):
         findings += check_primitives(root, files)
     if "nondeterminism" in enabled:
         findings += check_nondeterminism(root, files)
+    if "price" in enabled:
+        findings += check_price(root, files)
     if "compiledb" in enabled and db_path:
         findings += check_compile_db(root, files, db_path)
     return findings

@@ -6,6 +6,7 @@
 #include "common/kmv.h"
 #include "common/logging.h"
 #include "common/wall_timer.h"
+#include "groupby/price.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/operators.h"
 #include "sort/gpu_sort.h"
@@ -394,37 +395,31 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   thresholds.t3_max_rows = std::min<uint64_t>(
       thresholds.t3_max_rows, scheduler_.min_device_memory() / per_row);
 
+  groupby::PartitionedOptions popts;
+  popts.gpu = config_.groupby_options;
+  popts.gpu.allow_fusion = popts.gpu.allow_fusion && config_.enable_fusion;
+  popts.gpu.estimated_rows = estimates.rows;
+  popts.gpu.estimated_groups = estimates.groups;
+  popts.wait = opts.wait;
+  popts.cpu_split_fraction = config_.partitioned_cpu_split;
+  popts.cpu_dop = config_.query_dop;
   ExecutionPath path =
       ChooseGroupByPath(estimates, thresholds, !devices_.empty());
-  if (path == ExecutionPath::kGpu && config_.enable_partitioned_gpu) {
-    // T2 < n < T3 upgrade: when the cost model predicts the concurrent
-    // partitioned CPU+GPU execution beats both the one-partition run and
-    // the CPU chain by >= 10%, shard the query instead of running it whole
-    // on one device (docs/partitioned_execution.md).
-    gpusim::PartitionedShape shape = groupby::PartitionedGroupBy::MakeShape(
-        plan, estimates.rows, estimates.groups,
-        scheduler_.min_device_memory(), static_cast<int>(devices_.size()),
-        config_.groupby_options.allow_fusion && config_.enable_fusion,
-        config_.query_dop);
-    if (shape.max_rows_per_chunk > 0) {
-      const double frac =
-          config_.partitioned_cpu_split >= 0.0
-              ? std::clamp(config_.partitioned_cpu_split, 0.0, 1.0)
-              : cost_.ChoosePartitionedCpuFraction(shape);
-      gpusim::PartitionedShape one = shape;
-      one.num_partitions = 1;
-      const SimTime t_part = cost_.PartitionedTime(shape, frac);
-      const SimTime t_single = cost_.PartitionedTime(one, 0.0);
-      const SimTime t_cpu = static_cast<SimTime>(
-          static_cast<double>(cost_.HostGroupByTime(
-              estimates.rows, estimates.groups,
-              static_cast<int>(plan.slots().size()), 1)) /
-          cost_.HostParallelFactor(config_.query_dop));
-      if (t_part * 100 < std::min(t_single, t_cpu) * 90) {
-        path = ExecutionPath::kPartitioned;
-        trace->Annotate("partitioned_upgrade", "modeled");
-      }
-    }
+  // Only a one-partition run on fused records folds a deferred scan into
+  // its staging sweep; every other path needs explicit row ids.
+  bool fold_scan = false;
+  if (deferred && path == ExecutionPath::kGpu) {
+    plan.set_stage_filter(query.fact_filters);
+    fold_scan = groupby::GpuGroupBy::ChooseStageMode(
+                    plan, cost_, popts.gpu, fact.num_rows(),
+                    pool_.num_threads()) == groupby::StageMode::kFusedRecords;
+    plan.set_stage_filter({});
+  }
+  if (path == ExecutionPath::kGpu && config_.enable_partitioned_gpu &&
+      PartitionedUpgradeWins(&plan, fact, query, popts.gpu, estimates,
+                             deferred, fold_scan)) {
+    path = ExecutionPath::kPartitioned;
+    trace->Annotate("partitioned_upgrade", "modeled");
   }
   profile->groupby_path = path;
   trace->Annotate("groupby_path", ExecutionPathName(path));
@@ -435,25 +430,10 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   const bool one_partition = path == ExecutionPath::kGpu;
   if (one_partition || (path == ExecutionPath::kPartitioned &&
                         config_.enable_partitioned_gpu)) {
-    groupby::PartitionedOptions popts;
-    popts.gpu = config_.groupby_options;
-    popts.gpu.allow_fusion = popts.gpu.allow_fusion && config_.enable_fusion;
-    popts.gpu.estimated_rows = estimates.rows;
-    popts.gpu.estimated_groups = estimates.groups;
-    popts.wait = opts.wait;
-    popts.cpu_split_fraction = config_.partitioned_cpu_split;
-    popts.cpu_dop = config_.query_dop;
-    if (deferred) {
-      // Only a one-partition run on fused records folds the deferred scan
-      // into its staging sweep. The partition sweep and SoA staging (wide
-      // key, or fusion not worth it for this shape) need explicit row ids.
+    if (one_partition && fold_scan) {
       plan.set_stage_filter(query.fact_filters);
-      if (!one_partition ||
-          groupby::GpuGroupBy::ChooseStageMode(
-              plan, cost_, popts.gpu, fact.num_rows(), pool_.num_threads()) !=
-              groupby::StageMode::kFusedRecords) {
-        BLUSIM_RETURN_NOT_OK(materialize_selection());
-      }
+    } else {
+      BLUSIM_RETURN_NOT_OK(materialize_selection());
     }
     // Per-query budgets (serving layer): a one-partition reservation beyond
     // this query's granted share of device or pinned memory degrades to the
@@ -509,13 +489,62 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
 
   RecordPhase(CpuPhase("groupby-cpu",
-                       cost_.HostGroupByTime(
-                           selection->size(), cpu_out->num_groups,
-                           static_cast<int>(plan.slots().size()), 1),
+                       groupby::CpuChainWork(cost_, selection->size(),
+                                             cpu_out->num_groups,
+                                             plan.slots().size()),
                        config_.query_dop, timer.ElapsedUs()),
               obs::kCatCpu, profile, trace);
 
   return cpu_out->table;
+}
+
+bool Engine::PartitionedUpgradeWins(GroupByPlan* plan, const Table& fact,
+                                    const QuerySpec& query,
+                                    const groupby::GpuGroupByOptions& gpu,
+                                    const OptimizerEstimates& estimates,
+                                    bool deferred, bool fold_scan) {
+  const groupby::PriceEnv env{pool_.num_threads(), config_.query_dop,
+                              static_cast<int>(devices_.size()),
+                              devices_.front()->usable_shared_mem()};
+  // The shape Execute sees once the selection is explicit: every selected
+  // row scanned and staged, in the stage mode it picks for them.
+  const groupby::GroupByShape rows{
+      estimates.rows, estimates.rows, estimates.groups,
+      groupby::GpuGroupBy::ChooseStageMode(*plan, cost_, gpu, estimates.rows,
+                                           env.pool_dop)};
+  uint64_t max_rows = 0;
+  const uint32_t partitions = groupby::PartitionedGroupBy::ChooseFanOut(
+      *plan, rows.rows, rows.groups, scheduler_.min_device_memory(),
+      env.num_devices, rows.mode, &max_rows);
+  if (max_rows == 0) return false;
+  const SimTime scan =
+      deferred ? groupby::AtDop(cost_,
+                                cost_.HostScanTime(
+                                    fact.num_rows(),
+                                    ScanWidth(fact, query.fact_filters), 1),
+                                config_.query_dop)
+               : 0;
+  const double split =
+      config_.partitioned_cpu_split >= 0.0
+          ? std::clamp(config_.partitioned_cpu_split, 0.0, 1.0)
+          : groupby::ChooseCpuSplit(cost_, *plan, rows, env, partitions);
+  const SimTime t_part =
+      scan + groupby::PricePartitioned(cost_, *plan, rows, env, partitions,
+                                       split);
+  SimTime t_single = scan + groupby::PriceOnePartition(cost_, *plan, rows, env);
+  if (fold_scan) {
+    plan->set_stage_filter(query.fact_filters);
+    t_single = groupby::PriceOnePartition(
+        cost_, *plan,
+        {fact.num_rows(), estimates.rows, estimates.groups,
+         groupby::StageMode::kFusedRecords},
+        env);
+    plan->set_stage_filter({});
+  }
+  const SimTime t_cpu =
+      scan + groupby::CpuChainTime(cost_, estimates.rows, estimates.groups,
+                                   plan->slots().size(), config_.query_dop);
+  return t_part * 100 < std::min(t_single, t_cpu) * 90;
 }
 
 void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
@@ -600,14 +629,23 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
   // Host staging (chain + MEMCPY, or the fused one-sweep scan + encode +
   // pinned write) of every device chunk, pooled at query dop. Partitioned
   // chunks stage inside their concurrent device lanes, so that wall time
-  // sits in the overlapped per-chunk phases and the umbrella, not here.
+  // sits in the overlapped per-chunk phases and the umbrella, not here. A
+  // one-partition span carries what the sweep counted, the inputs of its
+  // price (groupby::PriceOnePartition).
   if (!partitioned || stats.stage_time > 0) {
     PhaseRecord stage = CpuPhase(
         partitioned ? "groupby-partition-stage" : "groupby-stage",
         stats.stage_time, config_.query_dop,
         partitioned ? 0 : stats.chunks.front().gpu.stage_wall_us);
     stage.bytes_moved = bytes_in;  // pinned staging writes
-    RecordPhase(std::move(stage), obs::kCatCpu, profile, trace);
+    std::vector<std::pair<std::string, std::string>> args;
+    if (!partitioned) {
+      const groupby::GpuGroupByStats& g = stats.chunks.front().gpu;
+      args = {{"rows_scanned", std::to_string(g.rows_scanned)},
+              {"kmv_estimate", std::to_string(g.kmv_estimate)}};
+    }
+    RecordPhase(std::move(stage), obs::kCatCpu, profile, trace,
+                std::move(args));
   }
   if (partitioned) {
     // The umbrella's wall time is the lanes' window: the driver call less

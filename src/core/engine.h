@@ -63,8 +63,8 @@ struct EngineConfig {
   // execution beats one device. false reproduces the paper's prototype,
   // which ran oversize queries on the CPU.
   bool enable_partitioned_gpu = false;
-  // CPU row share for partitioned executions: negative = cost model
-  // chooses (CostModel::ChoosePartitionedCpuFraction), otherwise forced.
+  // CPU row share for partitioned executions: negative = the group-by
+  // price chooses (groupby::ChooseCpuSplit), otherwise forced.
   double partitioned_cpu_split = -1.0;
   RouterThresholds thresholds;
   groupby::GpuGroupByOptions groupby_options;
@@ -163,6 +163,18 @@ class Engine {
       const QuerySpec& query, const columnar::Table& fact,
       const std::vector<uint32_t>* selection, const ExecOptions& opts,
       QueryProfile* profile, obs::TraceBuilder* trace);
+
+  // The router's partitioned upgrade (T2 < n < T3): the group-by price
+  // (groupby/price.h) of the hash-partitioned run beats both the
+  // one-partition run and the CPU chain by >= 10%. A deferred scan is
+  // charged to every candidate but a one-partition run that folds it
+  // into its staging (`fold_scan`). `plan` has no stage filter.
+  bool PartitionedUpgradeWins(runtime::GroupByPlan* plan,
+                              const columnar::Table& fact,
+                              const QuerySpec& query,
+                              const groupby::GpuGroupByOptions& gpu,
+                              const OptimizerEstimates& estimates,
+                              bool deferred, bool fold_scan);
 
   // Records a device group-by from the driver's stats: a one-partition
   // run's reservation wait (also when the run failed), then on success the

@@ -293,129 +293,6 @@ SimTime CostModel::HostMemcpyTime(uint64_t bytes) const {
   return static_cast<SimTime>(us + 0.5);
 }
 
-namespace {
-
-// Model-side analogue of groupby::ChooseCapacity: power-of-two table with
-// probing headroom. Kept local so gpusim does not depend on the groupby
-// layer; the runtime capacity comes from the KMV estimate anyway.
-uint64_t ModelTableCapacity(uint64_t groups) {
-  return NextPow2(std::max<uint64_t>(64, groups * 2));
-}
-
-}  // namespace
-
-SimTime CostModel::PartitionedTime(const PartitionedShape& s,
-                                   double cpu_fraction) const {
-  if (s.rows == 0) return 0;
-  double f = std::clamp(cpu_fraction, 0.0, 1.0);
-  if (s.num_devices <= 0) f = 1.0;
-  // The runtime assigns whole partitions to the CPU lane, so a continuous
-  // fraction is unreachable: quantize to the nearest partition count, like
-  // the pre-assignment loop does, before costing either lane.
-  const uint32_t parts = std::max<uint32_t>(1, s.num_partitions);
-  f = std::round(f * static_cast<double>(parts)) / static_cast<double>(parts);
-  const double host_factor = HostParallelFactor(std::max(1, s.cpu_dop));
-  // One partition is the plain single-device run: no sweep, no merge.
-  const bool partitioned = parts > 1;
-
-  // Hash-partition sweep: one key hash plus a 4-byte row-id scatter per
-  // selected row, parallel on the host like every other prep phase.
-  double total = 0.0;
-  if (partitioned) {
-    total += (static_cast<double>(HostKeyGenTime(s.rows, 1)) +
-              static_cast<double>(HostMemcpyTime(s.rows * 4))) /
-             host_factor;
-  }
-
-  const uint64_t cpu_rows =
-      static_cast<uint64_t>(f * static_cast<double>(s.rows));
-  const uint64_t gpu_rows = s.rows - cpu_rows;
-
-  // CPU lane: the flat-table chain over its share of the partitions.
-  double cpu_lane = 0.0;
-  if (cpu_rows > 0) {
-    const uint64_t cpu_groups = std::max<uint64_t>(
-        1, static_cast<uint64_t>(f * static_cast<double>(s.groups)));
-    cpu_lane = static_cast<double>(HostGroupByTime(cpu_rows, cpu_groups,
-                                                   s.num_aggregates, 1)) /
-               host_factor;
-  }
-
-  // Device lanes: per-chunk stage (host, pooled across lanes -> charged
-  // once at host parallelism) then transfer + init + kernel + readback
-  // serialized per lane.
-  double gpu_lane = 0.0;
-  if (gpu_rows > 0 && s.num_devices > 0) {
-    total += (static_cast<double>(HostKeyGenTime(gpu_rows, 1)) +
-              static_cast<double>(
-                  HostMemcpyTime(gpu_rows * s.gpu_bytes_per_row))) /
-             host_factor;
-    // Mirror the runtime's placement: the CPU share is carved out in whole
-    // partitions, the rest drain across the device lanes as one chunk per
-    // partition -- so every chunk pays its own table init, kernel launch,
-    // and readback. Note chunk_groups stays groups / num_partitions for
-    // any f: the runtime sizes per-chunk tables from the whole-table
-    // estimate divided by the fan-out.
-    const uint64_t gpu_parts = std::max<uint64_t>(
-        1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(parts) +
-                                 0.5));
-    const uint64_t chunks_per_lane =
-        CeilDiv(gpu_parts, static_cast<uint64_t>(s.num_devices));
-    const uint64_t chunk_rows = CeilDiv(gpu_rows, gpu_parts);
-    const uint64_t chunk_groups = std::max<uint64_t>(
-        1, static_cast<uint64_t>((1.0 - f) * static_cast<double>(s.groups)) /
-               gpu_parts);
-    const uint64_t table_bytes =
-        ModelTableCapacity(chunk_groups) * std::max<uint64_t>(8, s.entry_bytes);
-    GroupByKernelParams p;
-    p.rows = chunk_rows;
-    p.groups = chunk_groups;
-    p.num_aggregates = s.num_aggregates;
-    p.key_bytes = s.key_bytes;
-    p.payload_bytes = s.payload_bytes;
-    p.record_bytes = s.fused ? s.record_bytes : 0;
-    const SimTime kernel =
-        s.fused ? FusedScanAggregateTime(GroupByKernelKind::kRegular, p)
-                : GroupByKernelTime(GroupByKernelKind::kRegular, p);
-    const double per_chunk =
-        static_cast<double>(
-            TransferTime(chunk_rows * s.gpu_bytes_per_row, true)) +
-        static_cast<double>(HashTableInitTime(table_bytes)) +
-        static_cast<double>(kernel) +
-        static_cast<double>(TransferTime(table_bytes, true));
-    gpu_lane = static_cast<double>(chunks_per_lane) * per_chunk;
-  }
-  total += std::max(cpu_lane, gpu_lane);
-
-  // Merge: partitions are disjoint in group space, so the merge is a
-  // concatenation pass over the final group entries, not a re-hash.
-  if (partitioned) {
-    total += static_cast<double>(HostMemcpyTime(
-                 s.groups * std::max<uint64_t>(8, s.entry_bytes))) +
-             static_cast<double>(s.groups) * 0.004;  // ~4 ns/group
-  }
-  return static_cast<SimTime>(total + 0.5);
-}
-
-double CostModel::ChoosePartitionedCpuFraction(
-    const PartitionedShape& s) const {
-  if (s.num_devices <= 0) return 1.0;
-  // Sweep the fractions the runtime can actually realize: whole CPU
-  // partition counts.
-  const int steps = static_cast<int>(std::max<uint32_t>(1, s.num_partitions));
-  double best_f = 0.0;
-  SimTime best_t = PartitionedTime(s, 0.0);
-  for (int i = 1; i <= steps; ++i) {
-    const double f = static_cast<double>(i) / static_cast<double>(steps);
-    const SimTime t = PartitionedTime(s, f);
-    if (t < best_t) {
-      best_t = t;
-      best_f = f;
-    }
-  }
-  return best_f;
-}
-
 SimTime CostModel::HostFusedStageTime(uint64_t rows_scanned,
                                       int scan_bytes_per_row,
                                       uint64_t staged_rows,

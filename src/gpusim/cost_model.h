@@ -30,32 +30,9 @@ struct GroupByKernelParams {
   uint64_t rows = 0;
   uint64_t groups = 0;          // (estimated) distinct groups
   int num_aggregates = 1;
-  int key_bytes = 8;
-  int payload_bytes = 8;        // per-row payload width (all aggregates)
   int record_bytes = 0;         // fused record stride (0 = SoA input)
   bool wide_key = false;        // key > 64 bit: lock path instead of CAS
   bool lock_typed_payload = false;  // payload type with no atomic support
-};
-
-// Shape of a partitioned CPU+GPU group-by execution, feeding
-// CostModel::PartitionedTime / ChoosePartitionedCpuFraction and the
-// router's partitioned-vs-single-device upgrade decision, which prices
-// the single-device run as the same shape at one partition
-// (docs/partitioned_execution.md).
-struct PartitionedShape {
-  uint64_t rows = 0;            // selected input rows
-  uint64_t groups = 0;          // estimated distinct groups
-  int num_aggregates = 1;
-  int key_bytes = 8;
-  int payload_bytes = 8;        // per-row payload width (all aggregates)
-  uint64_t gpu_bytes_per_row = 0;  // staged wire bytes per device-bound row
-  int record_bytes = 0;         // fused record stride (0 = SoA staging)
-  uint64_t entry_bytes = 0;     // device hash-table entry bytes (readback)
-  uint64_t max_rows_per_chunk = 0;  // device chunk bound (0 = none fits)
-  uint32_t num_partitions = 1;  // hash-partition fan-out (1 = one device)
-  int num_devices = 0;
-  int cpu_dop = 1;              // DB2 degree of parallelism, CPU lane
-  bool fused = true;            // device chunks use the fused record path
 };
 
 // Deterministic analytical cost model, calibrated to the paper's hardware
@@ -133,21 +110,6 @@ class CostModel {
   // Effective parallel speedup for `dop` threads on this host: linear in
   // physical cores, diminishing returns across SMT threads.
   double HostParallelFactor(int dop) const;
-
-  // --- Partitioned CPU+GPU group-by (docs/partitioned_execution.md) ---
-  // Modeled end-to-end time of a hash-partitioned concurrent execution
-  // where the CPU lane takes `cpu_fraction` of the rows and `num_devices`
-  // device lanes drain the rest: partition sweep + max(CPU lane, slowest
-  // device lane) + concatenation merge. Mirrors the engine's phase
-  // accounting (host prep charged at cpu_dop parallelism). At one
-  // partition and fraction 0 it is the single-device run: stage +
-  // transfer + init + kernel + readback, with no sweep and no merge.
-  SimTime PartitionedTime(const PartitionedShape& shape,
-                          double cpu_fraction) const;
-
-  // Argmin of PartitionedTime over the whole-partition CPU shares 0/P ..
-  // P/P. Returns 1.0 (all-CPU) when the shape has no devices.
-  double ChoosePartitionedCpuFraction(const PartitionedShape& shape) const;
 
  private:
   HostSpec host_;

@@ -78,7 +78,8 @@ class SimDevice {
   KernelLauncher launcher_;
   PerfMonitor monitor_;
   std::atomic<int> outstanding_jobs_{0};
-  SharedMemConfig shared_config_ = SharedMemConfig::kEqual32;
+  // Set by kernel-2 launches while concurrent jobs read it.
+  std::atomic<SharedMemConfig> shared_config_{SharedMemConfig::kEqual32};
 };
 
 }  // namespace blusim::gpusim

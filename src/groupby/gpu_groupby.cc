@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/bit_util.h"
-
 #include "common/logging.h"
 #include "common/wall_timer.h"
 #include "groupby/kernels.h"
+#include "groupby/price.h"
 #include "groupby/staging.h"
 #include "runtime/group_result.h"
 
@@ -21,7 +20,6 @@ using gpusim::SimDevice;
 using runtime::AggSlot;
 using runtime::GroupByOutput;
 using runtime::GroupByPlan;
-using runtime::GroupEntry;
 using runtime::WideKey;
 
 namespace {
@@ -89,64 +87,55 @@ Status UploadFused(SimDevice* device, const gpusim::Reservation& reservation,
   return Status::OK();
 }
 
-// Bytes per scanned row the fused staging sweep touches for its predicate
-// evaluation (the stage_filter columns; 8 as a floor for the key load).
-int StageScanBytesPerRow(const GroupByPlan& plan) {
-  int bytes = 0;
-  for (const runtime::Predicate& p : plan.stage_filter()) {
-    const int w = columnar::DataTypeWidth(
-        plan.table().column(static_cast<size_t>(p.column)).type());
-    bytes += w == 0 ? 16 : w;  // strings: compare cost stand-in
-  }
-  return std::max(bytes, 8);
-}
-
-// Scans the device hash table (after readback) into GroupEntry records.
-std::vector<GroupEntry> ScanTable(const GroupByPlan& plan,
-                                  const HashTableLayout& layout,
-                                  const char* table, uint64_t capacity) {
-  std::vector<GroupEntry> groups;
+// Scans the device hash table (after readback) into flat groups. Fused
+// kernels store the staged record index as the representative row (row ids
+// never cross the bus), which `host_row_ids` maps back to an input row id;
+// null for SoA input.
+runtime::FlatGroups ScanTable(const GroupByPlan& plan,
+                              const HashTableLayout& layout,
+                              const char* table, uint64_t capacity,
+                              const std::vector<uint32_t>* host_row_ids) {
+  runtime::FlatGroups groups;
   // Capacity carries ~1.5x headroom (HashTableCapacity), so half-full is
   // the common case; avoids log2(n) regrows while scanning.
-  groups.reserve(capacity / 2);
+  const size_t num_slots = plan.slots().size();
+  groups.rep_rows.reserve(capacity / 2);
+  groups.accs.reserve(capacity / 2 * num_slots);
   const uint64_t entry_bytes = static_cast<uint64_t>(layout.entry_bytes());
   for (uint64_t e = 0; e < capacity; ++e) {
     const char* entry = table + e * entry_bytes;
-    if (layout.wide_key()) {
-      uint32_t rep;
-      std::memcpy(&rep, entry + layout.rep_row_offset(), 4);
-      if (rep == kEmptyRow) continue;
-    } else {
-      uint64_t key;
-      std::memcpy(&key, entry, 8);
-      if (key == kEmptyKey64) continue;
+    // The key marks a narrow entry occupied, the rep row a wide one.
+    uint64_t key;
+    uint32_t rep;
+    std::memcpy(&key, entry, 8);
+    std::memcpy(&rep, entry + layout.rep_row_offset(), 4);
+    if (layout.wide_key() ? rep == kEmptyRow : key == kEmptyKey64) continue;
+    if (host_row_ids != nullptr && rep < host_row_ids->size()) {
+      rep = (*host_row_ids)[rep];
     }
-    GroupEntry g;
-    std::memcpy(&g.rep_row, entry + layout.rep_row_offset(), 4);
-    g.slots.resize(plan.slots().size());
-    for (size_t s = 0; s < plan.slots().size(); ++s) {
-      const AggSlot& slot = plan.slots()[s];
+    groups.rep_rows.push_back(rep);
+    for (size_t s = 0; s < num_slots; ++s) {
       const char* sp = entry + layout.slot_offset(s);
-      switch (slot.acc_type) {
+      runtime::AccValue& acc = groups.accs.emplace_back();
+      switch (plan.slots()[s].acc_type) {
         case DataType::kFloat64:
-          std::memcpy(&g.slots[s].f64, sp, 8);
+          std::memcpy(&acc.f64, sp, 8);
           break;
         case DataType::kDecimal128:
-          std::memcpy(&g.slots[s].dec, sp, 16);
+          std::memcpy(&acc.dec, sp, 16);
           break;
         case DataType::kInt32:
         case DataType::kDate: {
           int32_t tmp;
           std::memcpy(&tmp, sp, 4);
-          g.slots[s].i64 = tmp;
+          acc.i64 = tmp;
           break;
         }
         default:
-          std::memcpy(&g.slots[s].i64, sp, 8);
+          std::memcpy(&acc.i64, sp, 8);
           break;
       }
     }
-    groups.push_back(std::move(g));
   }
   return groups;
 }
@@ -168,17 +157,14 @@ Status RunKernel(SimDevice* device, GroupByKernelKind kind,
 
 uint64_t GpuGroupBy::DeviceBytesNeeded(const GroupByPlan& plan, uint64_t rows,
                                        uint64_t capacity) {
-  const HashTableLayout layout(plan);
-  return UnfusedStagedBytes(plan, rows) + layout.TableBytes(capacity);
+  return StagedBytes(plan, StageMode::kSoA, rows) +
+         HashTableLayout(plan).TableBytes(capacity);
 }
 
 uint64_t GpuGroupBy::FusedDeviceBytesNeeded(const GroupByPlan& plan,
                                             uint64_t rows, uint64_t capacity) {
-  auto record_layout = FusedRecordLayout::Make(plan);
-  if (!record_layout.ok()) return DeviceBytesNeeded(plan, rows, capacity);
-  const HashTableLayout layout(plan);
-  return rows * static_cast<uint64_t>(record_layout.value().record_bytes) +
-         layout.TableBytes(capacity);
+  return StagedBytes(plan, StageMode::kFusedRecords, rows) +
+         HashTableLayout(plan).TableBytes(capacity);
 }
 
 StageMode GpuGroupBy::ChooseStageMode(const GroupByPlan& plan,
@@ -186,47 +172,28 @@ StageMode GpuGroupBy::ChooseStageMode(const GroupByPlan& plan,
                                       const GpuGroupByOptions& options,
                                       uint64_t input_rows, int dop) {
   if (!options.allow_fusion || plan.wide_key()) return StageMode::kSoA;
-  auto record_layout = FusedRecordLayout::Make(plan);
-  if (!record_layout.ok()) return StageMode::kSoA;
+  if (!FusedRecordLayout::Make(plan).ok()) return StageMode::kSoA;
 
   const uint64_t scanned = std::max<uint64_t>(input_rows, 1);
   uint64_t staged_rows = options.estimated_rows > 0
                              ? std::min(options.estimated_rows, scanned)
                              : scanned;
   staged_rows = std::max<uint64_t>(staged_rows, 1);
-  const int scan_bpr = StageScanBytesPerRow(plan);
-
-  GroupByKernelParams kp;
-  kp.rows = staged_rows;
-  kp.groups = std::max<uint64_t>(1, options.estimated_groups);
-  kp.num_aggregates = static_cast<int>(plan.slots().size());
-  kp.key_bytes = plan.key_bytes();
-  kp.payload_bytes = plan.payload_bytes_per_row();
-  for (const AggSlot& s : plan.slots()) {
-    if (s.lock_required) kp.lock_typed_payload = true;
-  }
-
-  // Fused pipeline: one host sweep, the compact record transfer, the fused
-  // kernel.
-  const uint64_t fused_bytes =
-      staged_rows * static_cast<uint64_t>(record_layout.value().record_bytes);
-  GroupByKernelParams fused_kp = kp;
-  fused_kp.record_bytes = record_layout.value().record_bytes;
-  const SimTime fused_total =
-      cost.HostFusedStageTime(scanned, scan_bpr, staged_rows, fused_bytes,
-                              dop) +
-      cost.TransferTime(fused_bytes, /*pinned=*/true) +
-      cost.FusedScanAggregateTime(GroupByKernelKind::kRegular, fused_kp);
-
-  // SoA pipeline: the predicate scan runs upstream (FilterScan), then key
-  // gen + MEMCPY over the survivors, the SoA transfer, the SoA kernel.
-  const uint64_t soa_bytes = UnfusedStagedBytes(plan, staged_rows);
+  // Each pipeline: host staging, one transfer of the staged bytes, the
+  // regular kernel. The SoA one also pays the predicate scan upstream
+  // (FilterScan) that the fused sweep folds in.
+  auto pipeline = [&](StageMode mode) {
+    return StageTime(cost, plan, mode, scanned, staged_rows, dop) +
+           cost.TransferTime(StagedBytes(plan, mode, staged_rows),
+                             /*pinned=*/true) +
+           KernelTime(cost, GroupByKernelKind::kRegular,
+                      KernelParams(plan, mode, staged_rows,
+                                   options.estimated_groups));
+  };
+  const SimTime fused_total = pipeline(StageMode::kFusedRecords);
   const SimTime soa_total =
-      cost.HostScanTime(scanned, scan_bpr, dop) +
-      cost.HostKeyGenTime(staged_rows, dop) + cost.HostMemcpyTime(soa_bytes) +
-      cost.TransferTime(soa_bytes, /*pinned=*/true) +
-      cost.GroupByKernelTime(GroupByKernelKind::kRegular, kp);
-
+      cost.HostScanTime(scanned, StageScanBytesPerRow(plan), dop) +
+      pipeline(StageMode::kSoA);
   return fused_total <= soa_total ? StageMode::kFusedRecords
                                   : StageMode::kSoA;
 }
@@ -237,18 +204,18 @@ Result<GroupByOutput> GpuGroupBy::Execute(
     GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
   BLUSIM_ASSIGN_OR_RETURN(
-      RawOutput raw,
+      runtime::FlatGroups groups,
       ExecuteToGroups(plan, device, pinned_pool, thread_pool, selection,
                       /*hash_partitions=*/1, options, stats));
   GroupByOutput out;
-  out.num_groups = raw.groups.size();
-  out.kmv_estimate = raw.kmv_estimate;
+  out.num_groups = groups.num_groups();
+  out.kmv_estimate = groups.kmv_estimate;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          runtime::MaterializeGroups(plan, raw.groups));
+                          runtime::MaterializeGroupsFlat(plan, groups));
   return out;
 }
 
-Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
+Result<runtime::FlatGroups> GpuGroupBy::ExecuteToGroups(
     const GroupByPlan& plan, SimDevice* device,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
     const std::vector<uint32_t>* selection, uint32_t hash_partitions,
@@ -280,18 +247,16 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
   stats->rows_scanned = staged.rows_scanned;
   stats->rows_staged = rows;
   stats->kmv_estimate = staged.kmv_estimate;
+  const StageMode staged_mode =
+      staged.fused ? StageMode::kFusedRecords : StageMode::kSoA;
+  stats->stage_time = StageTime(cost, plan, staged_mode, staged.rows_scanned,
+                                rows, dop);
   if (staged.fused) {
-    stats->stage_time = cost.HostFusedStageTime(
-        staged.rows_scanned, StageScanBytesPerRow(plan), rows,
-        staged.transfer_bytes, dop);
-    stats->bytes_avoided = UnfusedStagedBytes(plan, rows) -
+    stats->bytes_avoided = StagedBytes(plan, StageMode::kSoA, rows) -
                            staged.transfer_bytes;
-  } else {
-    stats->stage_time = cost.HostKeyGenTime(rows, dop) +
-                        cost.HostMemcpyTime(staged.transfer_bytes);
   }
   if (rows == 0) {
-    return RawOutput{};
+    return runtime::FlatGroups{};
   }
 
   const HashTableLayout layout(plan);
@@ -299,9 +264,7 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
 
   for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
     // --- Reserve all device memory up front (section 2.1.1) ---
-    const uint64_t input_bytes =
-        staged.fused ? staged.transfer_bytes : UnfusedStagedBytes(plan, rows);
-    const uint64_t need = input_bytes + layout.TableBytes(capacity);
+    const uint64_t need = staged.transfer_bytes + layout.TableBytes(capacity);
     auto reservation_result = device->memory().Reserve(need);
     if (!reservation_result.ok()) {
       return reservation_result.status();
@@ -340,17 +303,8 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
                              layout.TableBytes(capacity));
 
     // --- Moderator selects the kernel (section 4.2) ---
-    GroupByKernelParams kp;
-    kp.rows = rows;
-    kp.groups = std::max<uint64_t>(1, staged.kmv_estimate);
-    kp.num_aggregates = static_cast<int>(plan.slots().size());
-    kp.key_bytes = plan.key_bytes();
-    kp.payload_bytes = plan.payload_bytes_per_row();
-    kp.record_bytes = staged.fused ? staged.record_layout.record_bytes : 0;
-    kp.wide_key = plan.wide_key();
-    for (const AggSlot& s : plan.slots()) {
-      if (s.lock_required) kp.lock_typed_payload = true;
-    }
+    const GroupByKernelParams kp =
+        KernelParams(plan, staged_mode, rows, staged.kmv_estimate);
     const GroupByKernelKind chosen = GpuModerator::ChooseKernel(
         cost, kp, layout, device->usable_shared_mem());
 
@@ -370,8 +324,7 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
 
     // Fused runs cost through the fused kernel model and report under the
     // fused kernel names.
-    const SimTime t = staged.fused ? cost.FusedScanAggregateTime(chosen, kp)
-                                   : cost.GroupByKernelTime(chosen, kp);
+    const SimTime t = KernelTime(cost, chosen, kp);
     const WallTimer kernel_timer;
     BLUSIM_RETURN_NOT_OK(RunKernel(device, chosen, args));
     stats->kernel_wall_us += kernel_timer.ElapsedUs();
@@ -401,17 +354,9 @@ Result<GpuGroupBy::RawOutput> GpuGroupBy::ExecuteToGroups(
         table, host_table.data(), host_table.size(), /*pinned=*/true);
     stats->bytes_out = host_table.size();
 
-    RawOutput out;
-    out.groups = ScanTable(plan, layout, host_table.data(), capacity);
-    if (staged.fused) {
-      // Fused kernels store the staged record index as the representative
-      // row (row ids never cross the bus); map back to input row ids.
-      for (GroupEntry& g : out.groups) {
-        if (g.rep_row < staged.host_row_ids.size()) {
-          g.rep_row = staged.host_row_ids[g.rep_row];
-        }
-      }
-    }
+    runtime::FlatGroups out =
+        ScanTable(plan, layout, host_table.data(), capacity,
+                  staged.fused ? &staged.host_row_ids : nullptr);
     out.kmv_estimate = staged.kmv_estimate;
     return out;
   }

@@ -87,17 +87,11 @@ class GpuGroupBy {
       GpuModerator* moderator, const std::vector<uint32_t>* selection,
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
-  // Raw variant used by the partitioned driver: returns the
-  // un-materialized group entries plus the KMV estimate so the caller can
-  // merge partial results from several device chunks before materializing
-  // once. `hash_partitions` > 1 says the selection is one HashPartition
-  // range of that many; the staging KMV estimate corrects for the range's
-  // shared hash bits (1 for an unpartitioned selection).
-  struct RawOutput {
-    std::vector<runtime::GroupEntry> groups;
-    uint64_t kmv_estimate = 0;
-  };
-  static Result<RawOutput> ExecuteToGroups(
+  // Unmaterialized variant for PartitionedGroupBy, which merges the
+  // chunks' flat groups before materializing once. `hash_partitions` > 1
+  // says the selection is one HashPartition range of that many; the
+  // staging KMV estimate drops the range's shared hash bits.
+  static Result<runtime::FlatGroups> ExecuteToGroups(
       const runtime::GroupByPlan& plan, gpusim::SimDevice* device,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
       const std::vector<uint32_t>* selection, uint32_t hash_partitions,
@@ -116,10 +110,11 @@ class GpuGroupBy {
                                          uint64_t rows, uint64_t capacity);
 
   // Cost-based fused-vs-SoA staging decision for one query, comparing the
-  // modeled stage + transfer + kernel pipelines (the kernel term uses the
-  // regular kernel as the representative; the moderator still picks the
-  // actual kernel later). Returns kSoA whenever fusion is disabled or the
-  // plan has no fused layout (wide keys).
+  // modeled stage + transfer + kernel pipelines from the groupby/price.h
+  // terms (the kernel term uses the regular kernel as the representative;
+  // the moderator still picks the actual kernel later). Returns kSoA
+  // whenever fusion is disabled or the plan has no fused layout (wide
+  // keys).
   static StageMode ChooseStageMode(const runtime::GroupByPlan& plan,
                                    const gpusim::CostModel& cost,
                                    const GpuGroupByOptions& options,

@@ -1,6 +1,7 @@
 #include "groupby/moderator.h"
 
 #include "groupby/kernels.h"
+#include "groupby/price.h"
 
 namespace blusim::groupby {
 
@@ -16,8 +17,7 @@ GroupByKernelKind GpuModerator::ChooseKernel(
           static_cast<double>(shared_cap) * kSharedTableMaxFill;
 
   auto model_time = [&](GroupByKernelKind kind) {
-    return params.record_bytes > 0 ? cost.FusedScanAggregateTime(kind, params)
-                                   : cost.GroupByKernelTime(kind, params);
+    return KernelTime(cost, kind, params);
   };
   GroupByKernelKind best = GroupByKernelKind::kRegular;
   SimTime best_time = model_time(best);

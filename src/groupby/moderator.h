@@ -18,13 +18,13 @@ inline constexpr double kSharedTableMaxFill = 0.5;
 // one function of the query shape and the cost model.
 class GpuModerator {
  public:
-  // Among the feasible kernels, the one with the lowest modeled time:
-  // CostModel::FusedScanAggregateTime when `params.record_bytes > 0`
-  // (fused record input), CostModel::GroupByKernelTime otherwise. Kernels
-  // are tried in the order 1, 2, 3 and ties go to the earlier one. Kernels
-  // 1 and 3 are always feasible; kernel 2 only for a <=64-bit key whose
-  // estimated groups fit kSharedTableMaxFill of the shared table sized by
-  // `layout` and `usable_shared_mem`.
+  // Among the feasible kernels, the one with the lowest modeled time
+  // (groupby/price.h KernelTime: the fused kernel model for record input,
+  // the SoA one otherwise). Kernels are tried in the order 1, 2, 3 and
+  // ties go to the earlier one. Kernels 1 and 3 are always feasible;
+  // kernel 2 only for a <=64-bit key whose estimated groups fit
+  // kSharedTableMaxFill of the shared table sized by `layout` and
+  // `usable_shared_mem`.
   static gpusim::GroupByKernelKind ChooseKernel(
       const gpusim::CostModel& cost, const gpusim::GroupByKernelParams& params,
       const HashTableLayout& layout, uint64_t usable_shared_mem);

@@ -14,13 +14,13 @@
 #include "common/thread.h"
 #include "common/wall_timer.h"
 #include "groupby/layout.h"
+#include "groupby/price.h"
 #include "runtime/group_result.h"
 
 namespace blusim::groupby {
 
 using runtime::GroupByOutput;
 using runtime::GroupByPlan;
-using runtime::GroupEntry;
 
 namespace {
 
@@ -39,10 +39,7 @@ constexpr uint32_t kMaxPartitions = 1024;
 struct PartitionSlot {
   bool used = false;
   PartitionChunkStats chunk;  // the record Execute returns for it
-  uint64_t kmv = 0;
-  // Exactly one of these holds the partition's partial result.
-  std::vector<GroupEntry> gpu_groups;
-  runtime::CpuFlatGroups cpu_flat;
+  runtime::FlatGroups groups;  // the partition's groups, from either lane
 };
 
 // Shared work-queue state. Device lanes pop the front (largest remaining
@@ -55,37 +52,12 @@ struct WorkQueue {
   bool abort GUARDED_BY(mu) = false;
 };
 
-// Fan-out selection, shared by MakeShape (so the cost model sees the same
-// chunking the runtime will use) and Execute: start with enough partitions
-// to keep every lane fed, double until the average partition fits a device
-// chunk. Writes the final chunk bound to *max_rows_out; a bound of 0 means
-// even one partition's hash table exceeds the smallest device.
-uint32_t ChooseFanOut(const GroupByPlan& plan, uint64_t rows, uint64_t groups,
-                      uint64_t min_device_mem, int num_devices, StageMode mode,
-                      uint64_t* max_rows_out) {
-  uint32_t p = static_cast<uint32_t>(NextPow2(std::max<uint64_t>(
-      kMinPartitions, static_cast<uint64_t>(kMinPartitionsPerDevice) *
-                          static_cast<uint64_t>(std::max(1, num_devices)))));
-  uint64_t max_rows = 0;
-  for (;;) {
-    max_rows = PartitionedGroupBy::MaxRowsPerChunk(
-        plan, std::max<uint64_t>(1, groups / p), min_device_mem, mode);
-    if (max_rows == 0) break;
-    if (CeilDiv(rows, p) <= max_rows || p >= kMaxPartitions) break;
-    p *= 2;
-  }
-  *max_rows_out = max_rows;
-  return p;
-}
-
 // Device bytes one chunk reserves: its staged inputs in `mode` plus a hash
 // table sized for `groups`.
 uint64_t ChunkBytesNeeded(const GroupByPlan& plan, StageMode mode,
                           uint64_t rows, uint64_t groups) {
-  const uint64_t capacity = ChooseCapacity(groups);
-  return mode == StageMode::kFusedRecords
-             ? GpuGroupBy::FusedDeviceBytesNeeded(plan, rows, capacity)
-             : GpuGroupBy::DeviceBytesNeeded(plan, rows, capacity);
+  return StagedBytes(plan, mode, rows) +
+         HashTableLayout(plan).TableBytes(ChooseCapacity(groups));
 }
 
 // Runs one chunk on a device placed through the scheduler's FIFO-ticket
@@ -109,13 +81,11 @@ Status RunDeviceChunk(const GroupByPlan& plan, sched::GpuScheduler* scheduler,
   BLUSIM_RETURN_NOT_OK(pick.status());
   slot->chunk.device_id = pick.value()->id();
   BLUSIM_ASSIGN_OR_RETURN(
-      GpuGroupBy::RawOutput raw,
+      slot->groups,
       GpuGroupBy::ExecuteToGroups(plan, pick.value(), pinned_pool,
                                   thread_pool, selection, hash_partitions,
                                   gpu, &slot->chunk.gpu));
-  slot->gpu_groups = std::move(raw.groups);
-  slot->chunk.groups = slot->gpu_groups.size();
-  slot->kmv = raw.kmv_estimate;
+  slot->chunk.groups = slot->groups.num_groups();
   slot->chunk.on_gpu = true;
   slot->chunk.wall_us = timer.ElapsedUs();
   return Status::OK();
@@ -156,61 +126,29 @@ uint64_t PartitionedGroupBy::MaxRowsPerChunk(const GroupByPlan& plan,
   // Leave half the device free for concurrently scheduled work.
   const uint64_t budget = device_memory_bytes / 2;
   if (table_bytes >= budget) return 0;
-  // Per-row input bytes for the requested staging mode, measured on a
-  // reference row count. Fused records are denser than the SoA arrays, so
-  // fused chunks pack more rows into the same budget.
-  constexpr uint64_t kProbeRows = 4096;
-  const uint64_t with_table =
-      mode == StageMode::kFusedRecords
-          ? GpuGroupBy::FusedDeviceBytesNeeded(plan, kProbeRows, 64)
-          : GpuGroupBy::DeviceBytesNeeded(plan, kProbeRows, 64);
-  const uint64_t probe_total = with_table - layout.TableBytes(64);
-  const uint64_t per_row = std::max<uint64_t>(1, probe_total / kProbeRows);
+  const uint64_t per_row =
+      std::max<uint64_t>(1, StagedBytes(plan, mode, /*rows=*/1));
   return (budget - table_bytes) / per_row;
 }
 
-gpusim::PartitionedShape PartitionedGroupBy::MakeShape(
-    const GroupByPlan& plan, uint64_t rows, uint64_t groups,
-    uint64_t min_device_memory, int num_devices, bool allow_fusion,
-    int cpu_dop) {
-  gpusim::PartitionedShape s;
-  s.rows = rows;
-  s.groups = std::max<uint64_t>(1, groups);
-  s.num_aggregates = static_cast<int>(plan.slots().size());
-  const HashTableLayout layout(plan);
-  s.entry_bytes = static_cast<uint64_t>(layout.entry_bytes());
-  s.key_bytes = layout.key_bytes();
-  s.fused = false;
-  s.record_bytes = 0;
-  if (allow_fusion) {
-    auto record_layout = FusedRecordLayout::Make(plan);
-    if (record_layout.ok()) {
-      s.fused = true;
-      s.record_bytes = record_layout.value().record_bytes;
-    }
-  }
-  // Wire bytes per device-bound row, measured the same way the memory
-  // estimators measure it.
-  constexpr uint64_t kProbeRows = 1024;
-  const uint64_t soa_per_row =
-      UnfusedStagedBytes(plan, kProbeRows) / kProbeRows;
-  s.gpu_bytes_per_row =
-      s.fused ? static_cast<uint64_t>(s.record_bytes) : soa_per_row;
-  // Per-row payload width for the kernel model: SoA bytes minus the key
-  // and row-id streams.
-  s.payload_bytes = static_cast<int>(
-      soa_per_row > 12 ? soa_per_row - 12 : std::max<uint64_t>(4, soa_per_row));
-  s.num_devices = num_devices;
-  s.cpu_dop = cpu_dop;
-  // Fan-out and chunk bound: the same doubling loop Execute runs, so
-  // PartitionedTime charges per-chunk overheads for exactly the chunks the
-  // runtime will dispatch.
+uint32_t PartitionedGroupBy::ChooseFanOut(const GroupByPlan& plan,
+                                          uint64_t rows, uint64_t groups,
+                                          uint64_t min_device_memory,
+                                          int num_devices, StageMode mode,
+                                          uint64_t* max_rows_per_chunk) {
+  uint32_t p = static_cast<uint32_t>(NextPow2(std::max<uint64_t>(
+      kMinPartitions, static_cast<uint64_t>(kMinPartitionsPerDevice) *
+                          static_cast<uint64_t>(std::max(1, num_devices)))));
   uint64_t max_rows = 0;
-  s.num_partitions = ChooseFanOut(
-      plan, rows, s.groups, min_device_memory, num_devices,
-      s.fused ? StageMode::kFusedRecords : StageMode::kSoA, &max_rows);
-  s.max_rows_per_chunk = max_rows;
-  return s;
+  for (;;) {
+    max_rows = MaxRowsPerChunk(plan, std::max<uint64_t>(1, groups / p),
+                               min_device_memory, mode);
+    if (max_rows == 0) break;
+    if (CeilDiv(rows, p) <= max_rows || p >= kMaxPartitions) break;
+    p *= 2;
+  }
+  *max_rows_per_chunk = max_rows;
+  return p;
 }
 
 Result<GroupByOutput> PartitionedGroupBy::Execute(
@@ -257,12 +195,11 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     c.rows = c.gpu.rows_staged;
     AddChunk(slot, stats);
     stats->gpu_lane_time = c.wait_time + c.gpu.total() - c.gpu.stage_time;
-    stats->elapsed = stats->stage_time + stats->gpu_lane_time;
     GroupByOutput out;
     out.num_groups = c.groups;
-    out.kmv_estimate = slot.kmv;
+    out.kmv_estimate = slot.groups.kmv_estimate;
     BLUSIM_ASSIGN_OR_RETURN(out.table,
-                            runtime::MaterializeGroups(plan, slot.gpu_groups));
+                            runtime::MaterializeGroupsFlat(plan, slot.groups));
     return out;
   }
 
@@ -272,15 +209,11 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   const uint64_t total_rows = selection->size();
   if (total_rows == 0) {
     GroupByOutput out;
-    const std::vector<uint32_t> no_rows;
-    const std::vector<runtime::AccValue> no_accs;
     BLUSIM_ASSIGN_OR_RETURN(
-        out.table, runtime::MaterializeGroupsFlat(plan, no_rows, no_accs));
+        out.table, runtime::MaterializeGroupsFlat(plan, runtime::FlatGroups{}));
     return out;
   }
   const size_t num_slots = plan.slots().size();
-  const double host_factor =
-      cost.HostParallelFactor(std::max(1, options.cpu_dop));
 
   // Group-count estimate: the optimizer's if present, else a coarse KMV
   // over a stride of the selection keys.
@@ -347,8 +280,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   }
   morsel_buckets.clear();
   stats->partition_wall_us = sweep_timer.ElapsedUs();
-  stats->partition_time =
-      cost.HostKeyGenTime(total_rows, 1) + cost.HostMemcpyTime(total_rows * 4);
+  stats->partition_time = PartitionSweepWork(cost, total_rows);
 
   // --- Split + queues ---
   // Non-empty partitions sorted by size, descending.
@@ -364,14 +296,12 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     return a < b;
   });
 
-  gpusim::PartitionedShape shape =
-      MakeShape(plan, total_rows, estimated_groups, min_device_mem,
-                num_devices, options.gpu.allow_fusion, options.cpu_dop);
-  shape.fused = mode == StageMode::kFusedRecords;
-  shape.num_partitions = num_partitions;
   double cpu_fraction = options.cpu_split_fraction;
   if (cpu_fraction < 0.0) {
-    cpu_fraction = cost.ChoosePartitionedCpuFraction(shape);
+    const GroupByShape shape{total_rows, total_rows, estimated_groups, mode};
+    const PriceEnv env{pool_dop, options.cpu_dop, num_devices,
+                       scheduler->device(0)->usable_shared_mem()};
+    cpu_fraction = ChooseCpuSplit(cost, plan, shape, env, num_partitions);
   }
   cpu_fraction = std::clamp(cpu_fraction, 0.0, 1.0);
   stats->cpu_split_fraction = cpu_fraction;
@@ -434,21 +364,13 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   auto run_cpu = [&](uint32_t p, PartitionSlot* slot) -> Status {
     const WallTimer timer;
     const std::vector<uint32_t>& sel = partitions[p];
-    auto flat = runtime::CpuGroupBy::ExecuteToFlat(plan, thread_pool, &sel);
-    BLUSIM_RETURN_NOT_OK(flat.status());
-    slot->cpu_flat = std::move(flat).value();
-    slot->chunk.groups = slot->cpu_flat.num_groups;
-    slot->kmv = slot->cpu_flat.kmv_estimate;
-    // Engine convention: serial chain cost divided once by the host
-    // parallel factor. Passing cpu_dop straight into HostGroupByTime would
-    // instead charge its dop-scaled table-merge term, which the model's
-    // cpu_lane (PartitionedTime) deliberately does not carry -- the
-    // partitions are small enough that per-shard merges are noise.
-    slot->chunk.cpu_time = static_cast<SimTime>(
-        static_cast<double>(cost.HostGroupByTime(
-            sel.size(), std::max<uint64_t>(1, slot->chunk.groups),
-            static_cast<int>(num_slots), 1)) /
-        host_factor);
+    BLUSIM_ASSIGN_OR_RETURN(
+        slot->groups, runtime::CpuGroupBy::ExecuteToFlat(
+                          plan, thread_pool, &sel, num_partitions));
+    slot->chunk.groups = slot->groups.num_groups();
+    slot->chunk.cpu_time = CpuChainTime(
+        cost, sel.size(), std::max<uint64_t>(1, slot->chunk.groups), num_slots,
+        options.cpu_dop);
     slot->chunk.wall_us = timer.ElapsedUs();
     return Status();
   };
@@ -563,51 +485,33 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   for (uint32_t p = 0; p < num_partitions; ++p) {
     if (slots[p].used) total_groups += slots[p].chunk.groups;
   }
-  std::vector<uint32_t> rep_rows;
-  std::vector<runtime::AccValue> accs;
-  rep_rows.reserve(total_groups);
-  accs.reserve(total_groups * num_slots);
-  uint64_t kmv_estimate = 0;
+  runtime::FlatGroups merged;
+  merged.rep_rows.reserve(total_groups);
+  merged.accs.reserve(total_groups * num_slots);
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    PartitionSlot& slot = slots[p];
+    const PartitionSlot& slot = slots[p];
     if (!slot.used) continue;
-    kmv_estimate += slot.kmv;
-    if (slot.chunk.on_gpu) {
-      for (const GroupEntry& entry : slot.gpu_groups) {
-        rep_rows.push_back(entry.rep_row);
-        accs.insert(accs.end(), entry.slots.begin(), entry.slots.end());
-      }
-    } else {
-      rep_rows.insert(rep_rows.end(), slot.cpu_flat.rep_rows.begin(),
-                      slot.cpu_flat.rep_rows.end());
-      accs.insert(accs.end(), slot.cpu_flat.accs.begin(),
-                  slot.cpu_flat.accs.end());
-    }
+    merged.kmv_estimate += slot.groups.kmv_estimate;
+    merged.rep_rows.insert(merged.rep_rows.end(),
+                           slot.groups.rep_rows.begin(),
+                           slot.groups.rep_rows.end());
+    merged.accs.insert(merged.accs.end(), slot.groups.accs.begin(),
+                       slot.groups.accs.end());
     AddChunk(slot, stats);
   }
 
   GroupByOutput out;
   out.num_groups = total_groups;
-  out.kmv_estimate = kmv_estimate;
+  out.kmv_estimate = merged.kmv_estimate;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          runtime::MaterializeGroupsFlat(plan, rep_rows, accs));
+                          runtime::MaterializeGroupsFlat(plan, merged));
   stats->merge_wall_us = merge_timer.ElapsedUs();
 
-  // Concatenation cost: one pass over the final rep-row/accumulator
-  // arrays plus per-group bookkeeping.
-  stats->merge_time =
-      cost.HostMemcpyTime(total_groups *
-                          (4 + num_slots * sizeof(runtime::AccValue))) +
-      static_cast<SimTime>(static_cast<double>(total_groups) * 0.004);
+  stats->merge_time = ConcatMergeTime(cost, total_groups, num_slots);
   SimTime slowest_lane = 0;
   for (SimTime busy : lane_busy) slowest_lane = std::max(slowest_lane, busy);
   stats->cpu_lane_time = cpu_busy;
   stats->gpu_lane_time = slowest_lane;
-  stats->elapsed =
-      static_cast<SimTime>(static_cast<double>(stats->partition_time) /
-                           host_factor) +
-      stats->stage_time + std::max(cpu_busy, slowest_lane) +
-      stats->merge_time;
   return out;
 }
 

@@ -52,9 +52,6 @@ struct PartitionedStats {
   // Host-side concatenation of the partial group sets (0 at one
   // partition, like partition_time).
   SimTime merge_time = 0;
-  // End-to-end simulated elapsed: partition sweep + staging + the slower
-  // of the two lanes + merge.
-  SimTime elapsed = 0;
   // Host wall time of the partition sweep and of the concatenation merge
   // (including materializing the result).
   int64_t partition_wall_us = 0;
@@ -70,8 +67,8 @@ enum class Fanout : uint8_t { kOnePartition, kHashPartitioned };
 struct PartitionedOptions {
   GpuGroupByOptions gpu;  // estimates cover the whole input
   sched::WaitOptions wait;      // reservation-wait policy per device chunk
-  // CPU share of the selected rows. Negative = choose from the cost
-  // model (CostModel::ChoosePartitionedCpuFraction); any fraction --
+  // CPU share of the selected rows. Negative = choose from the group-by
+  // price (ChooseCpuSplit, groupby/price.h); any fraction --
   // chosen or forced in [0, 1] -- is honored exactly, with no runtime
   // rebalancing (0 = device-only, 1 = CPU-only; oversize skewed
   // partitions still run on the CPU regardless).
@@ -97,7 +94,7 @@ struct PartitionedOptions {
 // concatenation of the partitions' group sets -- no re-hash. Partitions
 // queue once, largest first; per-device driver threads drain the front
 // through fused staging under the scheduler's FIFO-ticket placement while
-// the calling thread drains a cost-model-sized CPU share (smallest
+// the calling thread drains a price-sized CPU share (smallest
 // partitions) through the runtime::CpuGroupBy flat-table chain; neither
 // lane takes the other's partitions. Device failures that are recoverable
 // on the host (Status::IsRecoverableOnHost) retry the partition on the CPU
@@ -128,14 +125,14 @@ class PartitionedGroupBy {
                                   uint64_t device_memory_bytes,
                                   StageMode mode = StageMode::kSoA);
 
-  // Builds the cost-model shape for a prospective partitioned execution
-  // (the router's upgrade decision and the split-fraction choice).
-  // `min_device_memory` bounds the per-chunk row count the same way
-  // Execute's partition sizing does.
-  static gpusim::PartitionedShape MakeShape(
-      const runtime::GroupByPlan& plan, uint64_t rows, uint64_t groups,
-      uint64_t min_device_memory, int num_devices, bool allow_fusion,
-      int cpu_dop);
+  // Hash-partition fan-out for Execute and the router's upgrade price:
+  // enough partitions to feed every lane, doubled until the average one
+  // fits a chunk of the smallest device. *max_rows_per_chunk gets the chunk
+  // bound; 0 means one partition's table alone exceeds that device.
+  static uint32_t ChooseFanOut(const runtime::GroupByPlan& plan,
+                               uint64_t rows, uint64_t groups,
+                               uint64_t min_device_memory, int num_devices,
+                               StageMode mode, uint64_t* max_rows_per_chunk);
 };
 
 }  // namespace blusim::groupby

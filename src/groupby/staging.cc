@@ -48,7 +48,7 @@ Result<StagedInput> StageSoA(const GroupByPlan& plan,
   staged.rows = n;
   staged.rows_scanned = n;
   staged.wide_key = plan.wide_key();
-  staged.transfer_bytes = UnfusedStagedBytes(plan, n);
+  staged.transfer_bytes = StagedBytes(plan, StageMode::kSoA, n);
 
   // Allocate all pinned buffers up front so a pool failure costs nothing.
   const uint64_t key_bytes =
@@ -351,19 +351,32 @@ uint64_t StagedInput::pinned_bytes() const {
   return total;
 }
 
-uint64_t UnfusedStagedBytes(const GroupByPlan& plan, uint64_t rows) {
-  uint64_t bytes =
-      rows * (plan.wide_key() ? sizeof(WideKey) : sizeof(uint64_t));
-  bytes += rows * sizeof(uint32_t);  // row ids
+std::vector<uint64_t> StagedStreamBytes(const GroupByPlan& plan,
+                                        StageMode mode, uint64_t rows) {
+  if (mode == StageMode::kFusedRecords) {
+    auto layout = FusedRecordLayout::Make(plan);
+    if (layout.ok()) {
+      return {rows * static_cast<uint64_t>(layout.value().record_bytes)};
+    }
+  }
+  std::vector<uint64_t> streams = {
+      rows * (plan.wide_key() ? sizeof(WideKey) : sizeof(uint64_t)),
+      rows * sizeof(uint32_t)};  // row ids
   for (const AggSlot& slot : plan.slots()) {
     if (slot.input_column < 0) continue;
     if (slot.fn != runtime::AggFn::kCount) {
-      bytes += rows * SoAValueWidth(slot);
+      streams.push_back(rows * SoAValueWidth(slot));
     }
     const Column& col =
         plan.table().column(static_cast<size_t>(slot.input_column));
-    if (col.has_nulls()) bytes += rows;
+    if (col.has_nulls()) streams.push_back(rows);
   }
+  return streams;
+}
+
+uint64_t StagedBytes(const GroupByPlan& plan, StageMode mode, uint64_t rows) {
+  uint64_t bytes = 0;
+  for (uint64_t stream : StagedStreamBytes(plan, mode, rows)) bytes += stream;
   return bytes;
 }
 

@@ -65,11 +65,18 @@ struct StagedInput {
   uint64_t pinned_bytes() const;
 };
 
-// True bytes the unfused SoA staging ships for `rows` staged rows (logical
-// array sizes, not aligned pinned allocations). Shared by the stager, the
-// device-memory estimator and the fused path's "staged bytes avoided"
-// accounting.
-uint64_t UnfusedStagedBytes(const runtime::GroupByPlan& plan, uint64_t rows);
+// True bytes (logical array sizes, not aligned pinned allocations) `mode`
+// staging ships for `rows` staged rows, stream by stream in upload order:
+// the fused record stream, or the SoA keys, row ids, then per slot its
+// value array and its validity bytes where it ships them (also for a plan
+// with no fused layout). Each stream is its own transfer.
+std::vector<uint64_t> StagedStreamBytes(const runtime::GroupByPlan& plan,
+                                        StageMode mode, uint64_t rows);
+
+// Their sum: what the stager, the device-memory estimators, the transfer
+// price and the fused path's "staged bytes avoided" accounting use.
+uint64_t StagedBytes(const runtime::GroupByPlan& plan, StageMode mode,
+                     uint64_t rows);
 
 // Runs the staging pass over all morsels in parallel.
 //

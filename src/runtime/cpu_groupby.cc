@@ -28,9 +28,10 @@ struct MorselPartial {
 };
 
 template <typename Key, typename GetKey>
-Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
-                          const std::vector<uint32_t>* selection,
-                          GetKey get_key, CpuGroupByStats* stats) {
+Result<FlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
+                       const std::vector<uint32_t>* selection,
+                       uint32_t hash_partitions, GetKey get_key,
+                       CpuGroupByStats* stats) {
   const uint64_t total_rows =
       selection ? selection->size() : plan.table().num_rows();
   const uint64_t num_morsels =
@@ -41,7 +42,9 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
 
   // Merge shards for phase 2: enough to keep every worker busy (workers =
   // pool threads + the calling thread), capped so small queries don't pay
-  // per-shard setup. Power of two so HashPartition can use top hash bits.
+  // per-shard setup. Power of two so HashPartition can use top hash bits --
+  // the ones below the bits a hash-partitioned selection shares, which
+  // multiplying by the (power-of-two) partition count shifts out.
   uint32_t shards = 1;
   if (pool != nullptr && num_morsels > 1) {
     shards = static_cast<uint32_t>(std::min<uint64_t>(
@@ -77,7 +80,7 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
     // if the estimate was low.
     const uint64_t n = stride.num_rows();
     const uint64_t expected = std::min<uint64_t>(
-        n, std::max<uint64_t>(stride.kmv.Estimate(), 16));
+        n, std::max<uint64_t>(stride.kmv.Estimate(hash_partitions), 16));
     auto partial = std::make_unique<MorselPartial<Key>>(&plan, expected,
                                                         shards);
     FlatAggTable<Key>& local = partial->table;
@@ -91,10 +94,12 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
       }
     }
 
-    // Scatter this morsel's groups into merge shards.
-    if (shards > 1) {
+    // Scatter this morsel's groups into merge shards (a lone morsel's
+    // table is the result as it stands).
+    if (num_morsels > 1) {
       for (uint32_t g = 0; g < local.num_groups(); ++g) {
-        const uint32_t p = HashPartition(local.group_hash(g), shards);
+        const uint32_t p =
+            HashPartition(local.group_hash(g) * hash_partitions, shards);
         partial->shard_groups[p].push_back(g);
       }
     }
@@ -115,7 +120,7 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
   {
     common::MutexLock lock(&shared.mu);
     BLUSIM_RETURN_NOT_OK(shared.first_error);
-    kmv_estimate = shared.global_kmv.Estimate();
+    kmv_estimate = shared.global_kmv.Estimate(hash_partitions);
   }
 
   if (stats != nullptr) {
@@ -126,13 +131,13 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
     }
   }
 
-  CpuFlatGroups out;
+  FlatGroups out;
   out.kmv_estimate = kmv_estimate;
 
   // Single morsel: its local table already is the global result.
   if (num_morsels == 1) {
     const FlatAggTable<Key>& only = partials[0]->table;
-    out.num_groups = only.num_groups();
+    if (stats != nullptr) stats->nonempty_merge_shards = only.num_groups() > 0;
     out.rep_rows = only.rep_rows();
     out.accs = only.accs();
     return out;
@@ -146,8 +151,7 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
     uint64_t shard_sum = 0;
     uint64_t largest = 0;
     for (const auto& partial : partials) {
-      const uint64_t c = shards > 1 ? partial->shard_groups[p].size()
-                                    : partial->table.num_groups();
+      const uint64_t c = partial->shard_groups[p].size();
       shard_sum += c;
       largest = std::max(largest, c);
     }
@@ -160,7 +164,7 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
                         std::max<uint64_t>(kmv_estimate / shards, largest)));
     for (const auto& partial : partials) {
       const FlatAggTable<Key>& src = partial->table;
-      auto merge_group = [&](uint32_t g) {
+      for (uint32_t g : partial->shard_groups[p]) {
         const uint32_t dst = table->FindOrInsert(
             src.group_key(g), src.group_hash(g), src.group_rep_row(g));
         const AccValue* from = src.group_accs(g);
@@ -168,11 +172,6 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
         for (size_t s = 0; s < num_slots; ++s) {
           MergeAcc(plan.slots()[s], from[s], &into[s]);
         }
-      };
-      if (shards > 1) {
-        for (uint32_t g : partial->shard_groups[p]) merge_group(g);
-      } else {
-        for (uint32_t g = 0; g < src.num_groups(); ++g) merge_group(g);
       }
     }
     shard_tables[p] = std::move(table);
@@ -192,48 +191,44 @@ Result<CpuFlatGroups> Run(const GroupByPlan& plan, ThreadPool* pool,
     out.rep_rows.insert(out.rep_rows.end(), t->rep_rows().begin(),
                         t->rep_rows().end());
     out.accs.insert(out.accs.end(), t->accs().begin(), t->accs().end());
-    if (stats != nullptr) stats->merge_rehashes += t->rehash_count();
+    if (stats != nullptr) {
+      stats->merge_rehashes += t->rehash_count();
+      stats->nonempty_merge_shards += t->num_groups() > 0;
+    }
   }
-
-  out.num_groups = total_groups;
   return out;
 }
 
-Result<CpuFlatGroups> RunToFlat(const GroupByPlan& plan, ThreadPool* pool,
-                                const std::vector<uint32_t>* selection,
-                                CpuGroupByStats* stats) {
+}  // namespace
+
+Result<FlatGroups> CpuGroupBy::ExecuteToFlat(
+    const GroupByPlan& plan, ThreadPool* pool,
+    const std::vector<uint32_t>* selection, uint32_t hash_partitions,
+    CpuGroupByStats* stats) {
   if (plan.wide_key()) {
     return Run<WideKey>(
-        plan, pool, selection,
+        plan, pool, selection, hash_partitions,
         [](const Stride& s, uint64_t i) -> const WideKey& {
           return s.wide_keys[i];
         },
         stats);
   }
   return Run<uint64_t>(
-      plan, pool, selection,
+      plan, pool, selection, hash_partitions,
       [](const Stride& s, uint64_t i) { return s.packed_keys[i]; }, stats);
 }
-
-}  // namespace
 
 Result<GroupByOutput> CpuGroupBy::Execute(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, CpuGroupByStats* stats) {
-  BLUSIM_ASSIGN_OR_RETURN(CpuFlatGroups flat,
-                          RunToFlat(plan, pool, selection, stats));
-  GroupByOutput out;
-  out.num_groups = flat.num_groups;
-  out.kmv_estimate = flat.kmv_estimate;
   BLUSIM_ASSIGN_OR_RETURN(
-      out.table, MaterializeGroupsFlat(plan, flat.rep_rows, flat.accs));
+      FlatGroups flat,
+      ExecuteToFlat(plan, pool, selection, /*hash_partitions=*/1, stats));
+  GroupByOutput out;
+  out.num_groups = flat.num_groups();
+  out.kmv_estimate = flat.kmv_estimate;
+  BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroupsFlat(plan, flat));
   return out;
-}
-
-Result<CpuFlatGroups> CpuGroupBy::ExecuteToFlat(
-    const GroupByPlan& plan, ThreadPool* pool,
-    const std::vector<uint32_t>* selection, CpuGroupByStats* stats) {
-  return RunToFlat(plan, pool, selection, stats);
 }
 
 }  // namespace blusim::runtime

@@ -25,26 +25,16 @@ struct GroupByOutput {
 // Observability counters for one CpuGroupBy execution (used by tests and
 // the hot-path benchmark to assert the partitioned merge actually ran).
 struct CpuGroupByStats {
-  // Merge shards used in phase 2 (1 = serial merge, no partitioning).
+  // Merge shards used in phase 2 (1 = serial merge, no partitioning), and
+  // how many of them received at least one group.
   uint32_t merge_shards = 0;
+  uint32_t nonempty_merge_shards = 0;
   // Sum of per-morsel local group counts fed into the merge.
   uint64_t partial_groups = 0;
   // Grow-and-rehash events in the LGHT local tables (KMV undersized them).
   uint64_t local_rehashes = 0;
   // Grow-and-rehash events in the shard merge tables.
   uint64_t merge_rehashes = 0;
-};
-
-// Flat (unmaterialized) result of the CPU chain: representative row ids
-// plus the accumulator block per group, in the same layout
-// MaterializeGroupsFlat consumes. The partitioned CPU+GPU path collects
-// one of these per CPU-side partition and concatenates them with the
-// device partitions' groups before materializing once.
-struct CpuFlatGroups {
-  std::vector<uint32_t> rep_rows;
-  std::vector<AccValue> accs;  // num_groups x plan.slots().size()
-  uint64_t num_groups = 0;
-  uint64_t kmv_estimate = 0;
 };
 
 // The original DB2 BLU CPU group-by chain (paper figure 1):
@@ -63,12 +53,14 @@ class CpuGroupBy {
       CpuGroupByStats* stats = nullptr);
 
   // Same chain, but stops before materialization and hands back the flat
-  // rep-row/accumulator arrays. Safe to call from several threads at once
-  // (ParallelFor supports concurrent callers); the partitioned group-by
-  // runs one call per CPU-side partition.
-  static Result<CpuFlatGroups> ExecuteToFlat(
+  // groups. Safe to call from several threads at once (ParallelFor supports
+  // concurrent callers); the partitioned group-by runs one call per
+  // CPU-side partition. `hash_partitions` > 1 says the selection is one
+  // HashPartition range of that many: its key hashes share their top bits,
+  // so the KMV estimates and the merge shards use the bits below them.
+  static Result<FlatGroups> ExecuteToFlat(
       const GroupByPlan& plan, ThreadPool* pool,
-      const std::vector<uint32_t>* selection = nullptr,
+      const std::vector<uint32_t>* selection, uint32_t hash_partitions,
       CpuGroupByStats* stats = nullptr);
 
   // Morsel size used by the parallel chain.

@@ -25,8 +25,8 @@ namespace blusim::runtime {
 // A probe walks the contiguous slot index with linear probing on the low
 // hash bits; full 64-bit hashes are compared before keys, so key equality
 // runs at most once per genuine duplicate. Inserting appends to the dense
-// arrays — no per-group heap allocation (the GroupEntry::slots vector this
-// replaces). Growing doubles the slot index and reinserts from the stored
+// arrays — no per-group heap allocation (the per-group accumulator vector
+// it replaces). Growing doubles the slot index and reinserts from the stored
 // per-group hashes; the dense arrays never move per-group data.
 //
 // Key is the packed uint64 grouping key or WideKey. Not thread-safe: each

@@ -131,15 +131,14 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into) {
   }
 }
 
-namespace {
-
-// Core materialization over any group container exposing the group count,
-// per-group representative row, and per-(group, slot) accumulator.
-template <typename RepRowFn, typename AccFn>
-Result<std::shared_ptr<Table>> MaterializeImpl(const GroupByPlan& plan,
-                                               size_t num_groups,
-                                               RepRowFn rep_row, AccFn acc) {
+Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
+    const GroupByPlan& plan, const FlatGroups& groups) {
   const Table& input = plan.table();
+  const size_t num_slots = plan.slots().size();
+  const size_t num_groups = groups.num_groups();
+  auto acc = [&](size_t g, size_t s) -> const AccValue& {
+    return groups.accs[g * num_slots + s];
+  };
 
   Schema schema;
   for (int kc : plan.spec().key_columns) {
@@ -167,7 +166,7 @@ Result<std::shared_ptr<Table>> MaterializeImpl(const GroupByPlan& plan,
 
   const size_t num_keys = plan.spec().key_columns.size();
   for (size_t g = 0; g < num_groups; ++g) {
-    const uint32_t rep = rep_row(g);
+    const uint32_t rep = groups.rep_rows[g];
     for (size_t k = 0; k < num_keys; ++k) {
       const Column& src = input.column(
           static_cast<size_t>(plan.spec().key_columns[k]));
@@ -203,26 +202,6 @@ Result<std::shared_ptr<Table>> MaterializeImpl(const GroupByPlan& plan,
 
   BLUSIM_RETURN_NOT_OK(result->Validate());
   return result;
-}
-
-}  // namespace
-
-Result<std::shared_ptr<Table>> MaterializeGroups(
-    const GroupByPlan& plan, const std::vector<GroupEntry>& groups) {
-  return MaterializeImpl(
-      plan, groups.size(), [&](size_t g) { return groups[g].rep_row; },
-      [&](size_t g, size_t s) -> const AccValue& { return groups[g].slots[s]; });
-}
-
-Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
-    const GroupByPlan& plan, const std::vector<uint32_t>& rep_rows,
-    const std::vector<AccValue>& accs) {
-  const size_t num_slots = plan.slots().size();
-  return MaterializeImpl(
-      plan, rep_rows.size(), [&](size_t g) { return rep_rows[g]; },
-      [&](size_t g, size_t s) -> const AccValue& {
-        return accs[g * num_slots + s];
-      });
 }
 
 }  // namespace blusim::runtime

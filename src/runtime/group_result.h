@@ -19,12 +19,18 @@ struct AccValue {
   columnar::Decimal128 dec;
 };
 
-// One finished group: a representative input row (for key materialization)
-// plus one accumulator per plan slot. Both the CPU chain and the GPU
-// readback produce this shape, so materialization is shared.
-struct GroupEntry {
-  uint32_t rep_row = 0;
-  std::vector<AccValue> slots;
+// Finished groups in flat structure-of-arrays form, the one result shape
+// of every group-by path (CPU chain, device readback, partitioned merge):
+// group i has representative input row `rep_rows[i]` (for key
+// materialization) and accumulators `accs[i * num_slots + s]`, one per plan
+// slot. No per-group heap allocation.
+struct FlatGroups {
+  std::vector<uint32_t> rep_rows;
+  std::vector<AccValue> accs;  // num_groups() x plan.slots().size()
+  // KMV group-count estimate of the sweep that produced the groups.
+  uint64_t kmv_estimate = 0;
+
+  uint64_t num_groups() const { return rep_rows.size(); }
 };
 
 // Initializes an accumulator to the slot's identity (mask) value.
@@ -40,16 +46,8 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into);
 // Materializes the final result table: one column per grouping key (values
 // read from each group's representative row of `plan.table()`) followed by
 // one column per user aggregate (AVG finalized as SUM/COUNT).
-Result<std::shared_ptr<columnar::Table>> MaterializeGroups(
-    const GroupByPlan& plan, const std::vector<GroupEntry>& groups);
-
-// Same, over the flat structure-of-arrays form produced by the CPU flat
-// aggregation table: group i has representative row `rep_rows[i]` and
-// accumulators `accs[i * plan.slots().size() + s]`. Avoids re-boxing each
-// group into a heap-allocated GroupEntry just to materialize it.
 Result<std::shared_ptr<columnar::Table>> MaterializeGroupsFlat(
-    const GroupByPlan& plan, const std::vector<uint32_t>& rep_rows,
-    const std::vector<AccValue>& accs);
+    const GroupByPlan& plan, const FlatGroups& groups);
 
 }  // namespace blusim::runtime
 

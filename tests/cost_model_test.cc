@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "gpusim/cost_model.h"
 
 namespace blusim::gpusim {
@@ -176,87 +174,6 @@ TEST_F(CostModelTest, CpuSortBeatsGpuSortSmall) {
   const SimTime gpu = cost_.SortKernelTime(n) +
                       2 * cost_.TransferTime(n * 8, true);
   EXPECT_GT(gpu, cost_.HostSortTime(n, 24));
-}
-
-// A 1M-row, 50k-group fused group-by over two devices.
-PartitionedShape FusedShape() {
-  PartitionedShape s;
-  s.rows = 1000000;
-  s.groups = 50000;
-  s.num_aggregates = 2;
-  s.key_bytes = 8;
-  s.payload_bytes = 16;
-  s.record_bytes = 24;
-  s.gpu_bytes_per_row = 24;
-  s.entry_bytes = 32;
-  s.max_rows_per_chunk = 400000;
-  s.num_devices = 2;
-  s.cpu_dop = 24;
-  s.fused = true;
-  return s;
-}
-
-TEST_F(CostModelTest, OnePartitionIsStagePlusOneChunk) {
-  // The single-device run: host staging of every row, then one chunk's
-  // transfer + table init + kernel + readback. No sweep, no merge.
-  PartitionedShape s = FusedShape();
-  s.num_partitions = 1;
-  const double host_factor = cost_.HostParallelFactor(s.cpu_dop);
-  const uint64_t staged_bytes = s.rows * s.gpu_bytes_per_row;
-  const double stage =
-      (static_cast<double>(cost_.HostKeyGenTime(s.rows, 1)) +
-       static_cast<double>(cost_.HostMemcpyTime(staged_bytes))) /
-      host_factor;
-  const uint64_t table_bytes = 131072 * s.entry_bytes;  // pow2 >= 2 x groups
-  GroupByKernelParams p;
-  p.rows = s.rows;
-  p.groups = s.groups;
-  p.num_aggregates = s.num_aggregates;
-  p.key_bytes = s.key_bytes;
-  p.payload_bytes = s.payload_bytes;
-  p.record_bytes = s.record_bytes;
-  const double chunk =
-      static_cast<double>(cost_.TransferTime(staged_bytes, true)) +
-      static_cast<double>(cost_.HashTableInitTime(table_bytes)) +
-      static_cast<double>(
-          cost_.FusedScanAggregateTime(GroupByKernelKind::kRegular, p)) +
-      static_cast<double>(cost_.TransferTime(table_bytes, true));
-  EXPECT_EQ(cost_.PartitionedTime(s, 0.0),
-            static_cast<SimTime>(stage + chunk + 0.5));
-
-  // Hash partitioning the same input charges the sweep and the merge that
-  // one partition skips: at an all-CPU split they frame the CPU lane.
-  PartitionedShape p8 = FusedShape();
-  p8.num_partitions = 8;
-  const double sweep = (static_cast<double>(cost_.HostKeyGenTime(s.rows, 1)) +
-                        static_cast<double>(cost_.HostMemcpyTime(s.rows * 4))) /
-                       host_factor;
-  const double cpu_lane =
-      static_cast<double>(
-          cost_.HostGroupByTime(s.rows, s.groups, s.num_aggregates, 1)) /
-      host_factor;
-  const double merge =
-      static_cast<double>(cost_.HostMemcpyTime(s.groups * s.entry_bytes)) +
-      static_cast<double>(s.groups) * 0.004;
-  EXPECT_EQ(cost_.PartitionedTime(p8, 1.0),
-            static_cast<SimTime>(sweep + cpu_lane + merge + 0.5));
-}
-
-TEST_F(CostModelTest, ChosenCpuFractionIsWholePartitions) {
-  PartitionedShape s = FusedShape();
-  s.num_partitions = 8;
-  const double f = cost_.ChoosePartitionedCpuFraction(s);
-  EXPECT_GE(f, 0.0);
-  EXPECT_LE(f, 1.0);
-  EXPECT_DOUBLE_EQ(f * 8, std::round(f * 8));
-  // It is the argmin over every realizable share.
-  for (int i = 0; i <= 8; ++i) {
-    EXPECT_LE(cost_.PartitionedTime(s, f), cost_.PartitionedTime(s, i / 8.0))
-        << i << "/8";
-  }
-  // No devices: everything runs on the CPU.
-  s.num_devices = 0;
-  EXPECT_EQ(cost_.ChoosePartitionedCpuFraction(s), 1.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "columnar/table.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "runtime/cpu_groupby.h"
 
@@ -179,6 +180,46 @@ TEST(CpuGroupByTest, WorksWithoutThreadPool) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_groups, 4u);
   EXPECT_EQ(out->table->column(1).int64_data()[0], 25);
+}
+
+TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
+  // One HashPartition range of 8 (partition 5) over a two-morsel input:
+  // every key hash shares the range's top 3 bits. Told so, the chain
+  // estimates the range's own group count and spreads its merge shards by
+  // the bits below; reading the shared bits instead estimates from the
+  // partition index and sends every group to one shard.
+  constexpr uint32_t kPartitions = 8;
+  Schema schema;
+  schema.AddField({"k", DataType::kInt64, false});
+  schema.AddField({"v", DataType::kInt64, false});
+  Table t(schema);
+  Rng rng(5);
+  for (int i = 0; i < 600000; ++i) {
+    t.column(0).AppendInt64(static_cast<int64_t>(rng.Below(2000000)));
+    t.column(1).AppendInt64(1);
+  }
+  GroupBySpec spec;
+  spec.key_columns = {0};
+  spec.aggregates = {{AggFn::kSum, 1, "s"}};
+  auto plan = GroupByPlan::Make(t, spec);
+  ASSERT_TRUE(plan.ok());
+  std::vector<uint32_t> partition;
+  for (uint32_t row = 0; row < t.num_rows(); ++row) {
+    if (HashPartition(plan->KeyHash(row), kPartitions) == 5) {
+      partition.push_back(row);
+    }
+  }
+  ASSERT_GT(partition.size(), CpuGroupBy::kMorselRows);
+
+  ThreadPool pool(3);
+  CpuGroupByStats stats;
+  auto out = CpuGroupBy::ExecuteToFlat(plan.value(), &pool, &partition,
+                                       kPartitions, &stats);
+  ASSERT_TRUE(out.ok());
+  const double groups = static_cast<double>(out->num_groups());
+  EXPECT_NEAR(static_cast<double>(out->kmv_estimate), groups, 0.15 * groups);
+  EXPECT_GT(stats.merge_shards, 1u);
+  EXPECT_GT(stats.nonempty_merge_shards, 1u);
 }
 
 }  // namespace

@@ -227,16 +227,16 @@ TEST(MaterializeTest, DefaultColumnNamesAndAvg) {
   spec.aggregates = {{AggFn::kAvg, 2, ""}, {AggFn::kCount, -1, ""}};
   auto plan = GroupByPlan::Make(*t, spec);
   ASSERT_TRUE(plan.ok());
-  std::vector<GroupEntry> groups(1);
-  groups[0].rep_row = 0;
-  groups[0].slots.resize(plan->slots().size());
+  FlatGroups groups;
+  groups.rep_rows = {0};
+  groups.accs.resize(plan->slots().size());
   for (size_t s = 0; s < plan->slots().size(); ++s) {
-    InitAcc(plan->slots()[s], &groups[0].slots[s]);
+    InitAcc(plan->slots()[s], &groups.accs[s]);
   }
-  groups[0].slots[0].f64 = 9.0;  // AVG sum
-  groups[0].slots[1].i64 = 3;    // AVG count
-  groups[0].slots[2].i64 = 3;    // COUNT(*)
-  auto result = MaterializeGroups(plan.value(), groups);
+  groups.accs[0].f64 = 9.0;  // AVG sum
+  groups.accs[1].i64 = 3;    // AVG count
+  groups.accs[2].i64 = 3;    // COUNT(*)
+  auto result = MaterializeGroupsFlat(plan.value(), groups);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->schema().field(1).name, "AVG(d)");
   EXPECT_EQ((*result)->schema().field(2).name, "COUNT(*)");

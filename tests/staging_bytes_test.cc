@@ -63,7 +63,7 @@ TEST(StagingBytesTest, SoATransferBytesAreExactNotAligned) {
   const uint64_t rows = t->num_rows();
   EXPECT_EQ(staged->transfer_bytes, rows * (8 + 4 + 8 + 1));
   EXPECT_EQ(staged->transfer_bytes,
-            UnfusedStagedBytes(plan.value(), rows));
+            StagedBytes(plan.value(), StageMode::kSoA, rows));
   // The pinned footprint includes the pool's 64-byte alignment slack, so
   // it must be strictly larger than the wire size (the old bug reported
   // the former as the latter).
@@ -87,7 +87,7 @@ TEST(StagingBytesTest, FusedTransferBytesAreRecordStreamSize) {
             staged->rows * static_cast<uint64_t>(
                                staged->record_layout.record_bytes));
   EXPECT_LT(staged->transfer_bytes,
-            UnfusedStagedBytes(plan.value(), staged->rows));
+            StagedBytes(plan.value(), StageMode::kSoA, staged->rows));
   EXPECT_EQ(staged->rows, t->num_rows());  // no stage filter: all survive
   EXPECT_EQ(staged->host_row_ids.size(), staged->rows);
 }
@@ -111,7 +111,8 @@ TEST(StagingBytesTest, GpuStatsReportTrueWireBytes) {
                                  &moderator, nullptr, options, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_FALSE(stats.fused);
-  EXPECT_EQ(stats.bytes_in, UnfusedStagedBytes(plan.value(), t->num_rows()));
+  EXPECT_EQ(stats.bytes_in,
+            StagedBytes(plan.value(), StageMode::kSoA, t->num_rows()));
 
   const HashTableLayout layout(plan.value());
   EXPECT_EQ(stats.bytes_out, layout.TableBytes(stats.table_capacity));
