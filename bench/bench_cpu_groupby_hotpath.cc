@@ -132,6 +132,7 @@ struct CaseResult {
   std::string name;
   uint64_t groups_target = 0;
   uint64_t groups_actual = 0;
+  std::string strategy;  // the CPU chain's choice for this input
   double flat_t1 = 0, flat_tn = 0;      // rows/sec
   double legacy_t1 = 0, legacy_tn = 0;  // rows/sec
 };
@@ -208,12 +209,14 @@ int main() {
     r.name = c.name;
     r.groups_target = c.groups;
     {
-      auto out = CpuGroupBy::Execute(plan.value(), &pool);
+      CpuGroupByStats stats;
+      auto out = CpuGroupBy::Execute(plan.value(), &pool, nullptr, &stats);
       if (!out.ok()) {
         std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
         return 1;
       }
       r.groups_actual = out->num_groups;
+      r.strategy = CpuGroupByStrategyName(stats.strategy);
     }
     r.flat_t1 = MeasureRowsPerSec(rows, reps, [&] {
       (void)CpuGroupBy::Execute(plan.value(), nullptr);
@@ -229,10 +232,11 @@ int main() {
     });
     results.push_back(r);
     std::printf(
-        "%-17s groups=%-8llu  flat 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | "
+        "%-17s groups=%-8llu %-9s flat 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | "
         "legacy 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | multi speedup %.2fx\n",
         r.name.c_str(),
-        static_cast<unsigned long long>(r.groups_actual), r.flat_t1 / 1e6,
+        static_cast<unsigned long long>(r.groups_actual), r.strategy.c_str(),
+        r.flat_t1 / 1e6,
         threads, r.flat_tn / 1e6, r.legacy_t1 / 1e6, threads,
         r.legacy_tn / 1e6, r.flat_tn / r.legacy_tn);
   }
@@ -251,14 +255,14 @@ int main() {
     const CaseResult& r = results[i];
     std::fprintf(
         f,
-        "    {\"case\": \"%s\", \"groups\": %llu,\n"
+        "    {\"case\": \"%s\", \"groups\": %llu, \"strategy\": \"%s\",\n"
         "     \"after_flat\": {\"rows_per_sec_1t\": %.0f, "
         "\"rows_per_sec_nt\": %.0f},\n"
         "     \"before_unordered_map\": {\"rows_per_sec_1t\": %.0f, "
         "\"rows_per_sec_nt\": %.0f},\n"
         "     \"speedup_1t\": %.3f, \"speedup_nt\": %.3f}%s\n",
         r.name.c_str(), static_cast<unsigned long long>(r.groups_actual),
-        r.flat_t1, r.flat_tn, r.legacy_t1, r.legacy_tn,
+        r.strategy.c_str(), r.flat_t1, r.flat_tn, r.legacy_t1, r.legacy_tn,
         r.flat_t1 / r.legacy_t1, r.flat_tn / r.legacy_tn,
         i + 1 < results.size() ? "," : "");
   }

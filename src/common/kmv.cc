@@ -1,6 +1,9 @@
 #include "common/kmv.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "common/bit_util.h"
 
 namespace blusim {
 
@@ -35,9 +38,30 @@ void KmvSketch::SiftDown(size_t i) {
   }
 }
 
+bool KmvSketch::InsertKept(uint64_t hash) {
+  if (hash == 0) {
+    const bool added = !kept_zero_;
+    kept_zero_ = true;
+    return added;
+  }
+  if (kept_index_.empty()) kept_index_.assign(NextPow2(2 * k_), 0);
+  const size_t mask = kept_index_.size() - 1;
+  // Multiplicative slot choice: mixes every hash bit into the slot, so
+  // hashes that agree in their low bits still spread.
+  const int shift = 64 - std::countr_zero(kept_index_.size());
+  size_t i = static_cast<size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift);
+  for (;; i = (i + 1) & mask) {
+    if (kept_index_[i] == hash) return false;
+    if (kept_index_[i] == 0) {
+      kept_index_[i] = hash;
+      return true;
+    }
+  }
+}
+
 void KmvSketch::AddHash(uint64_t hash) {
   if (heap_.size() < k_) {
-    if (Contains(hash)) return;
+    if (!InsertKept(hash)) return;
     heap_.push_back(hash);
     SiftUp(heap_.size() - 1);
     return;

@@ -40,10 +40,20 @@ class KmvSketch {
   void SiftUp(size_t i);
   void SiftDown(size_t i);
   bool Contains(uint64_t hash) const;
+  // Adds `hash` to the kept set's index; false if it was already there.
+  bool InsertKept(uint64_t hash);
 
   size_t k_;
   // Max-heap of the k smallest hash values (root = largest of the kept set).
   std::vector<uint64_t> heap_;
+  // Until the heap holds k hashes, every added hash is a candidate and
+  // needs a membership test: an open-addressing index over the kept hashes
+  // (0 = empty slot, a zero hash is flagged apart) makes it O(1) instead of
+  // a scan of the heap, which low-cardinality keys paid on every row. Once
+  // the heap is full only hashes below its root are looked up, rarely, in
+  // the heap itself.
+  std::vector<uint64_t> kept_index_;
+  bool kept_zero_ = false;
 };
 
 }  // namespace blusim

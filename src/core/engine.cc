@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/heap.h"
 #include "common/kmv.h"
 #include "common/logging.h"
 #include "common/wall_timer.h"
@@ -280,6 +281,8 @@ Engine::Engine(EngineConfig config)
       scheduler_(DevicePointers(devices_), &metrics_),
       pinned_(config.pinned_pool_bytes, &metrics_),
       pool_(config.cpu_threads, &metrics_) {
+  // Queries' freed working sets stay mapped for the next (common/heap.h).
+  KeepFreedHeapMapped();
   for (auto& device : devices_) {
     device->memory().AttachChecker(checker_.get());
   }
@@ -484,16 +487,22 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   // "partitioned" case, which the prototype runs on the CPU).
   BLUSIM_RETURN_NOT_OK(materialize_selection());
   const WallTimer timer;
-  auto cpu_out = runtime::CpuGroupBy::Execute(plan, &pool_, selection);
+  runtime::CpuGroupByStats cpu_stats;
+  auto cpu_out =
+      runtime::CpuGroupBy::Execute(plan, &pool_, selection, &cpu_stats);
   BLUSIM_RETURN_NOT_OK(cpu_out.status());
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
 
-  RecordPhase(CpuPhase("groupby-cpu",
-                       groupby::CpuChainWork(cost_, selection->size(),
-                                             cpu_out->num_groups,
-                                             plan.slots().size()),
-                       config_.query_dop, timer.ElapsedUs()),
-              obs::kCatCpu, profile, trace);
+  RecordPhase(
+      CpuPhase("groupby-cpu",
+               groupby::CpuChainWork(cost_, selection->size(),
+                                     cpu_out->num_groups, plan.slots().size()),
+               config_.query_dop, timer.ElapsedUs()),
+      obs::kCatCpu, profile, trace,
+      {{"rows", std::to_string(selection->size())},
+       {"groups", std::to_string(cpu_out->num_groups)},
+       {"strategy", runtime::CpuGroupByStrategyName(cpu_stats.strategy)},
+       {"partitions", std::to_string(cpu_stats.partitions)}});
 
   return cpu_out->table;
 }
@@ -810,8 +819,14 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
           std::vector<uint32_t> perm,
           sort::HybridSorter::Sort(*result, query.order_by, options,
                                    &stats));
+      // The sort is charged for every row it ordered; only the LIMIT's
+      // head is copied out.
+      const uint64_t sorted_rows = perm.size();
+      if (query.limit > 0 && perm.size() > query.limit) {
+        perm.resize(query.limit);
+      }
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*result, perm, {}));
-      RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(perm.size(), 1),
+      RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(sorted_rows, 1),
                            config_.query_dop, timer.ElapsedUs()),
                   obs::kCatCpu, &profile, &trace);
       profile.sort_path = ExecutionPath::kCpu;
@@ -862,6 +877,9 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       BLUSIM_ASSIGN_OR_RETURN(
           std::vector<uint32_t> perm,
           sort::HybridSorter::Sort(*base, query.order_by, options, &stats));
+      if (query.limit > 0 && perm.size() > query.limit) {
+        perm.resize(query.limit);  // the phases below charge every row
+      }
       BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*base, perm, {}));
 
       // The hybrid sort's CPU and device jobs run concurrently inside one

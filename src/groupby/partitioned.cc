@@ -7,8 +7,6 @@
 
 #include "common/annotations.h"
 #include "common/bit_util.h"
-#include "common/hash.h"
-#include "common/kmv.h"
 #include "common/logging.h"
 #include "common/task_tag.h"
 #include "common/thread.h"
@@ -16,6 +14,7 @@
 #include "groupby/layout.h"
 #include "groupby/price.h"
 #include "runtime/group_result.h"
+#include "runtime/partition_sweep.h"
 
 namespace blusim::groupby {
 
@@ -23,9 +22,6 @@ using runtime::GroupByOutput;
 using runtime::GroupByPlan;
 
 namespace {
-
-// Partition-sweep morsel size (matches the CPU chain's granularity).
-constexpr uint64_t kSweepMorselRows = 65536;
 
 // Hash-partition fan-out bounds. The floor keeps the queue deep enough for
 // lanes to self-balance; the ceiling bounds per-partition bookkeeping.
@@ -219,12 +215,8 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   // over a stride of the selection keys.
   uint64_t estimated_groups = options.gpu.estimated_groups;
   if (estimated_groups == 0) {
-    KmvSketch sketch(256);
-    const uint64_t stride = std::max<uint64_t>(1, total_rows / 65536);
-    for (uint64_t i = 0; i < total_rows; i += stride) {
-      sketch.AddHash(plan.KeyHash((*selection)[i]));
-    }
-    estimated_groups = std::max<uint64_t>(1, sketch.Estimate());
+    estimated_groups = std::max<uint64_t>(
+        1, runtime::SampleKeys(plan, selection).distinct);
   }
 
   // Smallest device bounds the chunk size (heterogeneous devices allowed).
@@ -243,42 +235,9 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   stats->num_partitions = num_partitions;
 
   // --- Partition sweep ---
-  // Hash every selected key and scatter its row id, morsel-parallel with
-  // per-morsel buckets concatenated in morsel order so partition contents
-  // (and float merge order downstream) are deterministic run-to-run.
   const WallTimer sweep_timer;
-  const uint64_t num_morsels =
-      runtime::NumMorsels(total_rows, kSweepMorselRows);
-  std::vector<std::vector<std::vector<uint32_t>>> morsel_buckets(num_morsels);
-  auto sweep_morsel = [&](uint64_t m) {
-    const runtime::MorselRange r =
-        runtime::GetMorsel(total_rows, kSweepMorselRows, m);
-    std::vector<std::vector<uint32_t>> buckets(num_partitions);
-    for (uint64_t i = r.begin; i < r.end; ++i) {
-      const uint32_t row = (*selection)[i];
-      // Equal keys land in the same partition, which makes the partitions
-      // disjoint in group space and the final merge a concatenation.
-      buckets[HashPartition(plan.KeyHash(row), num_partitions)].push_back(
-          row);
-    }
-    morsel_buckets[m] = std::move(buckets);
-  };
-  if (thread_pool != nullptr) {
-    thread_pool->ParallelFor(num_morsels, sweep_morsel);
-  } else {
-    for (uint64_t m = 0; m < num_morsels; ++m) sweep_morsel(m);
-  }
-  std::vector<std::vector<uint32_t>> partitions(num_partitions);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    uint64_t n = 0;
-    for (const auto& buckets : morsel_buckets) n += buckets[p].size();
-    partitions[p].reserve(n);
-    for (auto& buckets : morsel_buckets) {
-      partitions[p].insert(partitions[p].end(), buckets[p].begin(),
-                           buckets[p].end());
-    }
-  }
-  morsel_buckets.clear();
+  std::vector<std::vector<uint32_t>> partitions = runtime::PartitionRows(
+      plan, thread_pool, selection, /*hash_partitions=*/1, num_partitions);
   stats->partition_wall_us = sweep_timer.ElapsedUs();
   stats->partition_time = PartitionSweepWork(cost, total_rows);
 
@@ -478,36 +437,25 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
 
   // --- Concatenation merge ---
   // Partitions are disjoint in group space (equal keys share a partition),
-  // so appending each partition's groups in partition-id order is a
-  // complete, deterministic merge.
+  // so materializing each partition's groups in partition-id order is a
+  // complete, deterministic merge; the group sets are never copied into
+  // one.
   const WallTimer merge_timer;
-  uint64_t total_groups = 0;
+  GroupByOutput out;
+  std::vector<runtime::FlatGroups> pieces;
   for (uint32_t p = 0; p < num_partitions; ++p) {
-    if (slots[p].used) total_groups += slots[p].chunk.groups;
-  }
-  runtime::FlatGroups merged;
-  merged.rep_rows.reserve(total_groups);
-  merged.accs.reserve(total_groups * num_slots);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    const PartitionSlot& slot = slots[p];
+    PartitionSlot& slot = slots[p];
     if (!slot.used) continue;
-    merged.kmv_estimate += slot.groups.kmv_estimate;
-    merged.rep_rows.insert(merged.rep_rows.end(),
-                           slot.groups.rep_rows.begin(),
-                           slot.groups.rep_rows.end());
-    merged.accs.insert(merged.accs.end(), slot.groups.accs.begin(),
-                       slot.groups.accs.end());
+    out.num_groups += slot.chunk.groups;
+    out.kmv_estimate += slot.groups.kmv_estimate;
+    pieces.push_back(std::move(slot.groups));
     AddChunk(slot, stats);
   }
-
-  GroupByOutput out;
-  out.num_groups = total_groups;
-  out.kmv_estimate = merged.kmv_estimate;
-  BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          runtime::MaterializeGroupsFlat(plan, merged));
+  BLUSIM_ASSIGN_OR_RETURN(
+      out.table, runtime::MaterializeGroupsFlat(plan, pieces, thread_pool));
   stats->merge_wall_us = merge_timer.ElapsedUs();
 
-  stats->merge_time = ConcatMergeTime(cost, total_groups, num_slots);
+  stats->merge_time = ConcatMergeTime(cost, out.num_groups, num_slots);
   SimTime slowest_lane = 0;
   for (SimTime busy : lane_busy) slowest_lane = std::max(slowest_lane, busy);
   stats->cpu_lane_time = cpu_busy;

@@ -22,28 +22,55 @@ struct GroupByOutput {
   uint64_t kmv_estimate = 0;
 };
 
+// How a CpuGroupBy execution grouped its rows (CpuGroupBy::ExecuteToFlat).
+enum class CpuGroupByStrategy : uint8_t {
+  kLocal,      // per-morsel local tables + merge shards
+  kPartition,  // hash-partition sweep, then one final table per partition
+};
+
+const char* CpuGroupByStrategyName(CpuGroupByStrategy strategy);
+
 // Observability counters for one CpuGroupBy execution (used by tests and
-// the hot-path benchmark to assert the partitioned merge actually ran).
+// the hot-path benchmark to assert which strategy and merge actually ran).
 struct CpuGroupByStats {
+  CpuGroupByStrategy strategy = CpuGroupByStrategy::kLocal;
+  // Hash partitions the partition-first sweep scattered the rows into, and
+  // how many of them received at least one row (1 and 1 for kLocal).
+  uint32_t partitions = 0;
+  uint32_t nonempty_partitions = 0;
   // Merge shards used in phase 2 (1 = serial merge, no partitioning), and
-  // how many of them received at least one group.
+  // how many of them received at least one group (0 for kPartition, which
+  // has no merge).
   uint32_t merge_shards = 0;
   uint32_t nonempty_merge_shards = 0;
-  // Sum of per-morsel local group counts fed into the merge.
+  // Sum of the group counts of the tables the rows were aggregated into:
+  // per-morsel local tables (kLocal) or per-partition tables (kPartition,
+  // whose groups are final, so this is the result's group count).
   uint64_t partial_groups = 0;
-  // Grow-and-rehash events in the LGHT local tables (KMV undersized them).
+  // Grow-and-rehash events in those tables (KMV undersized them).
   uint64_t local_rehashes = 0;
   // Grow-and-rehash events in the shard merge tables.
   uint64_t merge_rehashes = 0;
 };
 
-// The original DB2 BLU CPU group-by chain (paper figure 1):
-// parallel threads run LCOG/LCOV -> CCAT -> HASH -> LGHT (local flat
-// open-addressing tables with AGGD/SUM/CNT applied inline), then the local
-// results are merged in two lock-free phases: each worker scatters its
-// groups into merge shards by the top bits of the key hash, and a second
-// ParallelFor merges each shard independently. Only KMV merging and
-// first-error tracking share a mutex.
+// The original DB2 BLU CPU group-by chain (paper figure 1): parallel
+// threads run LCOG/LCOV -> CCAT -> HASH -> LGHT (local flat open-addressing
+// tables with AGGD/SUM/CNT applied inline). How the rows reach those tables
+// depends on a strided sample of the keys (runtime::SampleKeys):
+//
+// - kLocal: each morsel aggregates into its own table, then the local
+//   results are merged in two lock-free phases: each worker scatters its
+//   groups into merge shards by the top bits of the key hash, and a second
+//   ParallelFor merges each shard independently. Right when a morsel's
+//   table shrinks its rows (low and mid cardinality).
+// - kPartition: when nearly every sampled key is distinct, local tables
+//   would copy each group twice more for nothing. One sweep scatters the
+//   row ids into cache-sized hash partitions (runtime::PartitionRows), and
+//   each partition runs the chain into one table whose groups are final;
+//   the tables are concatenated in partition order.
+//
+// Either way the result is deterministic run-to-run, serial or parallel.
+// Only KMV merging and first-error tracking share a mutex.
 class CpuGroupBy {
  public:
   // `selection`: optional filtered/joined row-id list; nullptr = all rows.
@@ -68,6 +95,17 @@ class CpuGroupBy {
   // Upper bound on merge shards; enough to keep a large pool busy without
   // making tiny queries pay per-shard setup.
   static constexpr uint32_t kMaxMergeShards = 64;
+  // Partition-first strategy: taken when more than this share of the
+  // sampled keys is distinct, so a morsel's local table would hold nearly
+  // one group per row. A one-morsel sample of 65536 groups over many more
+  // rows reads about 0.63 and stays local.
+  static constexpr double kPartitionMinDistinctPerRow = 0.8;
+  // Rows per partition the sweep aims for: a partition's stride buffers and
+  // its table (about 200 bytes a group at five aggregates) stay within a
+  // core's L2. The partition count is the power of two that reaches it,
+  // capped like the partitioned group-by's fan-out.
+  static constexpr uint64_t kPartitionRows = 8192;
+  static constexpr uint32_t kMaxPartitions = 1024;
 };
 
 }  // namespace blusim::runtime

@@ -44,9 +44,19 @@ Status LoadPayloadsEvaluator::Process(Stride* stride) const {
       }
       continue;
     }
+    // Columns without NULLs whose storage is the accumulator type are read
+    // straight from their typed vector.
+    const bool direct = !col.has_nulls() && col.type() == slot.acc_type;
     switch (slot.acc_type) {
       case DataType::kFloat64:
         pv.f64.resize(n);
+        if (direct) {
+          const std::vector<double>& data = col.float64_data();
+          for (uint64_t i = 0; i < n; ++i) {
+            pv.f64[i] = data[stride->InputRow(i)];
+          }
+          break;
+        }
         for (uint64_t i = 0; i < n; ++i) {
           const uint32_t row = stride->InputRow(i);
           if (col.IsNull(row)) continue;
@@ -56,6 +66,13 @@ Status LoadPayloadsEvaluator::Process(Stride* stride) const {
         break;
       case DataType::kDecimal128:
         pv.dec.resize(n);
+        if (direct) {
+          const std::vector<columnar::Decimal128>& data = col.decimal_data();
+          for (uint64_t i = 0; i < n; ++i) {
+            pv.dec[i] = data[stride->InputRow(i)];
+          }
+          break;
+        }
         for (uint64_t i = 0; i < n; ++i) {
           const uint32_t row = stride->InputRow(i);
           if (col.IsNull(row)) continue;
@@ -68,6 +85,13 @@ Status LoadPayloadsEvaluator::Process(Stride* stride) const {
         return Status::Internal("string aggregate reached LCOV");
       default:
         pv.i64.resize(n);
+        if (direct && slot.acc_type == DataType::kInt64) {
+          const std::vector<int64_t>& data = col.int64_data();
+          for (uint64_t i = 0; i < n; ++i) {
+            pv.i64[i] = data[stride->InputRow(i)];
+          }
+          break;
+        }
         for (uint64_t i = 0; i < n; ++i) {
           const uint32_t row = stride->InputRow(i);
           if (col.IsNull(row)) continue;

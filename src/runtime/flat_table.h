@@ -2,6 +2,7 @@
 #define BLUSIM_RUNTIME_FLAT_TABLE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -42,6 +43,13 @@ class FlatAggTable {
     slot_hash_.assign(cap, 0);
     slot_group_.assign(cap, kNoGroup);
     mask_ = cap - 1;
+    // The dense arrays are written once per group: reserving them for the
+    // estimate spares each one its doubling copies (and, past the
+    // allocator's mmap threshold, a fresh mapping per doubling).
+    keys_.reserve(expected_groups);
+    rep_rows_.reserve(expected_groups);
+    hashes_.reserve(expected_groups);
+    accs_.reserve(expected_groups * num_slots_);
   }
 
   // Finds the group for (key, hash), inserting a freshly initialized group
@@ -88,6 +96,14 @@ class FlatAggTable {
 
   const std::vector<uint32_t>& rep_rows() const { return rep_rows_; }
   const std::vector<AccValue>& accs() const { return accs_; }
+
+  // Moves the groups out as a FlatGroups (no copy); the table is spent.
+  FlatGroups TakeGroups() && {
+    FlatGroups out;
+    out.rep_rows = std::move(rep_rows_);
+    out.accs = std::move(accs_);
+    return out;
+  }
 
  private:
   void Grow() {

@@ -131,14 +131,19 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into) {
   }
 }
 
-Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
-    const GroupByPlan& plan, const FlatGroups& groups) {
+namespace {
+
+// Results at least this large fill their columns in parallel, one column
+// per task: columns are separate objects, so the tasks share nothing.
+constexpr uint64_t kParallelMaterializeGroups = 65536;
+
+Result<std::shared_ptr<Table>> MaterializePieces(
+    const GroupByPlan& plan, const std::vector<const FlatGroups*>& pieces,
+    ThreadPool* pool) {
   const Table& input = plan.table();
   const size_t num_slots = plan.slots().size();
-  const size_t num_groups = groups.num_groups();
-  auto acc = [&](size_t g, size_t s) -> const AccValue& {
-    return groups.accs[g * num_slots + s];
-  };
+  uint64_t num_groups = 0;
+  for (const FlatGroups* piece : pieces) num_groups += piece->num_groups();
 
   Schema schema;
   for (int kc : plan.spec().key_columns) {
@@ -164,44 +169,80 @@ Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
   auto result = std::make_shared<Table>(std::move(schema));
   result->Reserve(num_groups);
 
+  // Column c: a grouping key read from each group's representative row, or
+  // an aggregate read from its accumulators, over the pieces in order.
   const size_t num_keys = plan.spec().key_columns.size();
-  for (size_t g = 0; g < num_groups; ++g) {
-    const uint32_t rep = groups.rep_rows[g];
-    for (size_t k = 0; k < num_keys; ++k) {
-      const Column& src = input.column(
-          static_cast<size_t>(plan.spec().key_columns[k]));
-      result->column(k).AppendFrom(src, rep);
+  auto fill_column = [&](uint64_t c) {
+    Column& dst = result->column(c);
+    if (c < num_keys) {
+      const Column& src =
+          input.column(static_cast<size_t>(plan.spec().key_columns[c]));
+      for (const FlatGroups* groups : pieces) {
+        for (uint32_t rep : groups->rep_rows) dst.AppendFrom(src, rep);
+      }
+      return;
     }
-    for (size_t o = 0; o < plan.outputs().size(); ++o) {
-      const OutputAgg& out = plan.outputs()[o];
-      const AggSlot& slot = plan.slots()[static_cast<size_t>(out.slot)];
-      const AccValue& a = acc(g, static_cast<size_t>(out.slot));
-      Column& dst = result->column(num_keys + o);
+    const OutputAgg& out = plan.outputs()[c - num_keys];
+    const AggSlot& slot = plan.slots()[static_cast<size_t>(out.slot)];
+    const auto slot_index = static_cast<size_t>(out.slot);
+    for (const FlatGroups* groups : pieces) {
+      const AccValue* accs = groups->accs.data();
+      const size_t n = groups->num_groups();
       if (out.desc.fn == AggFn::kAvg) {
-        const int64_t count = acc(g, static_cast<size_t>(out.count_slot)).i64;
-        double sum;
-        switch (slot.acc_type) {
-          case DataType::kFloat64: sum = a.f64; break;
-          case DataType::kDecimal128: sum = a.dec.ToDouble(); break;
-          default: sum = static_cast<double>(a.i64); break;
+        const auto count_index = static_cast<size_t>(out.count_slot);
+        for (size_t g = 0; g < n; ++g) {
+          const AccValue& a = accs[g * num_slots + slot_index];
+          const int64_t count = accs[g * num_slots + count_index].i64;
+          double sum;
+          switch (slot.acc_type) {
+            case DataType::kFloat64: sum = a.f64; break;
+            case DataType::kDecimal128: sum = a.dec.ToDouble(); break;
+            default: sum = static_cast<double>(a.i64); break;
+          }
+          dst.AppendDouble(count == 0 ? 0.0
+                                      : sum / static_cast<double>(count));
         }
-        dst.AppendDouble(count == 0 ? 0.0 : sum / static_cast<double>(count));
         continue;
       }
-      switch (slot.acc_type) {
-        case DataType::kFloat64: dst.AppendDouble(a.f64); break;
-        case DataType::kDecimal128: dst.AppendDecimal(a.dec); break;
-        case DataType::kInt32:
-        case DataType::kDate:
-          dst.AppendInt32(static_cast<int32_t>(a.i64));
-          break;
-        default: dst.AppendInt64(a.i64); break;
+      for (size_t g = 0; g < n; ++g) {
+        const AccValue& a = accs[g * num_slots + slot_index];
+        switch (slot.acc_type) {
+          case DataType::kFloat64: dst.AppendDouble(a.f64); break;
+          case DataType::kDecimal128: dst.AppendDecimal(a.dec); break;
+          case DataType::kInt32:
+          case DataType::kDate:
+            dst.AppendInt32(static_cast<int32_t>(a.i64));
+            break;
+          default: dst.AppendInt64(a.i64); break;
+        }
       }
     }
+  };
+  const size_t num_columns = num_keys + plan.outputs().size();
+  if (pool != nullptr && num_groups >= kParallelMaterializeGroups) {
+    pool->ParallelFor(num_columns, fill_column);
+  } else {
+    for (size_t c = 0; c < num_columns; ++c) fill_column(c);
   }
 
   BLUSIM_RETURN_NOT_OK(result->Validate());
   return result;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
+    const GroupByPlan& plan, const FlatGroups& groups) {
+  return MaterializePieces(plan, {&groups}, /*pool=*/nullptr);
+}
+
+Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
+    const GroupByPlan& plan, const std::vector<FlatGroups>& pieces,
+    ThreadPool* pool) {
+  std::vector<const FlatGroups*> ptrs;
+  ptrs.reserve(pieces.size());
+  for (const FlatGroups& piece : pieces) ptrs.push_back(&piece);
+  return MaterializePieces(plan, ptrs, pool);
 }
 
 }  // namespace blusim::runtime

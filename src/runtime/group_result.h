@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "runtime/groupby_plan.h"
 #include "runtime/stride.h"
+#include "runtime/thread_pool.h"
 
 namespace blusim::runtime {
 
@@ -48,6 +49,14 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into);
 // one column per user aggregate (AVG finalized as SUM/COUNT).
 Result<std::shared_ptr<columnar::Table>> MaterializeGroupsFlat(
     const GroupByPlan& plan, const FlatGroups& groups);
+
+// Same over several group sets that are disjoint in group space (the
+// partitions or merge shards of one result), in order, without first
+// concatenating them. With a pool, a large result fills its columns in
+// parallel.
+Result<std::shared_ptr<columnar::Table>> MaterializeGroupsFlat(
+    const GroupByPlan& plan, const std::vector<FlatGroups>& pieces,
+    ThreadPool* pool = nullptr);
 
 }  // namespace blusim::runtime
 

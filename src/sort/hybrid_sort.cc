@@ -114,6 +114,17 @@ struct StagedJob {
   SimTime transfer_in = 0;
 };
 
+// A worker's prefetch slots: a job staged while the previous kernel ran,
+// or a popped job that was not staged. At most one is filled. (Plain
+// value-initialized members with flags, not std::optional: GCC 12 reports
+// an optional's payload as maybe-uninitialized through these paths.)
+struct Prefetch {
+  bool has_staged = false;
+  StagedJob staged{};
+  bool has_pending = false;
+  SortJob pending{};
+};
+
 // All per-worker reusable state: the two staging slots (pinned buffer +
 // device set) of the double-buffered GPU pipeline, the CPU radix sorter's
 // scratch, and the two trace lanes (main work + overlapped staging).
@@ -286,8 +297,7 @@ bool StageJob(SortRun* run, WorkerState* ws, const SortJob& job, int slot,
 // then post-processes: duplicate ranges, transfer back, permutation
 // write-back and child jobs.
 void ProcessStagedJob(SortRun* run, WorkerState* ws, const StagedJob& s,
-                      std::optional<StagedJob>* next_staged,
-                      std::optional<SortJob>* next_pending) {
+                      Prefetch* next) {
   DeviceSet& ds = ws->dev[s.slot];
   SimDevice* device = ds.device;
   const uint32_t n = s.job.size();
@@ -311,11 +321,11 @@ void ProcessStagedJob(SortRun* run, WorkerState* ws, const StagedJob& s,
   // Prefetch: stage the next queued job while this kernel runs. Must not
   // block on the queue (this job's children are not pushed yet); a popped
   // job that cannot be staged is handed back to the worker loop.
-  if (auto next = run->queue.TryPop()) {
+  if (auto popped = run->queue.TryPop()) {
     bool staged = false;
-    if (next->size() >= run->options.min_gpu_rows) {
+    if (popped->size() >= run->options.min_gpu_rows) {
       StagedJob nxt;
-      if (StageJob(run, ws, *next, s.slot ^ 1, &nxt)) {
+      if (StageJob(run, ws, *popped, s.slot ^ 1, &nxt)) {
         ws->stage_lane.cursor = kernel_begin;
         ws->stage_lane.AddSpan(run, "sort-keygen", obs::kCatCpu, nxt.keygen,
                                -1);
@@ -325,7 +335,8 @@ void ProcessStagedJob(SortRun* run, WorkerState* ws, const StagedJob& s,
         nxt.ready_at = ws->stage_lane.cursor;
         const SimTime hidden =
             std::min(kernel, nxt.keygen + nxt.transfer_in);
-        *next_staged = std::move(nxt);
+        next->staged = nxt;
+        next->has_staged = true;
         staged = true;
         common::MutexLock lock(&run->stats_mu);
         run->stats.overlapped_stage_time += hidden;
@@ -334,7 +345,10 @@ void ProcessStagedJob(SortRun* run, WorkerState* ws, const StagedJob& s,
         ++run->stats.gpu_fallbacks;
       }
     }
-    if (!staged) *next_pending = *next;
+    if (!staged) {
+      next->pending = *popped;
+      next->has_pending = true;
+    }
   }
 
   // Duplicate ranges, folded inside the flag kernel's block structure.
@@ -418,21 +432,21 @@ void WorkerLoop(SortRun* run, int worker) {
   ws.stage_lane.track = 2 + 2 * worker;
   ws.stage_lane.cursor = run->trace_origin;
 
-  std::optional<StagedJob> staged;   // prefetched + staged GPU job
-  std::optional<SortJob> pending;    // prefetched job that was not staged
+  Prefetch prefetched;
   while (true) {
     // Early abort: after the first hard error the queue is cancelled --
     // drop prefetched work instead of processing it.
-    if (run->queue.cancelled() && (staged.has_value() || pending.has_value())) {
+    if (run->queue.cancelled() &&
+        (prefetched.has_staged || prefetched.has_pending)) {
       uint64_t dropped = 0;
-      if (staged.has_value()) {
-        ws.dev[staged->slot].device->JobFinished();
-        staged.reset();
+      if (prefetched.has_staged) {
+        ws.dev[prefetched.staged.slot].device->JobFinished();
+        prefetched.has_staged = false;
         run->queue.TaskDone();
         ++dropped;
       }
-      if (pending.has_value()) {
-        pending.reset();
+      if (prefetched.has_pending) {
+        prefetched.has_pending = false;
         run->queue.TaskDone();
         ++dropped;
       }
@@ -444,14 +458,14 @@ void WorkerLoop(SortRun* run, int worker) {
     bool have_staged = false;
     StagedJob cur;
     SortJob job;
-    if (staged.has_value()) {
-      cur = *staged;
-      staged.reset();
+    if (prefetched.has_staged) {
+      cur = prefetched.staged;
+      prefetched.has_staged = false;
       have_staged = true;
       job = cur.job;
-    } else if (pending.has_value()) {
-      job = *pending;
-      pending.reset();
+    } else if (prefetched.has_pending) {
+      job = prefetched.pending;
+      prefetched.has_pending = false;
     } else if (auto popped = run->queue.Pop()) {
       job = *popped;
     } else {
@@ -495,7 +509,7 @@ void WorkerLoop(SortRun* run, int worker) {
       // A prefetched job may still be "staging" (simulated) past the
       // previous job's post-processing: the kernel waits for it.
       if (cur.ready_at > ws.lane.cursor) ws.lane.cursor = cur.ready_at;
-      ProcessStagedJob(run, &ws, cur, &staged, &pending);
+      ProcessStagedJob(run, &ws, cur, &prefetched);
     } else {
       SortJobOnCpu(run, &ws, job);
     }

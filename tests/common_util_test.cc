@@ -1,14 +1,18 @@
 // Unit and property tests for the common utilities: Rng, hashing, KMV
-// sketch, bit helpers, and the logging threshold.
+// sketch, bit helpers, the heap thresholds and the logging threshold.
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstdlib>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/bit_util.h"
 #include "common/hash.h"
+#include "common/heap.h"
 #include "common/kmv.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -139,6 +143,19 @@ TEST(KmvTest, DuplicatesDoNotInflate) {
   EXPECT_EQ(sketch.Estimate(), 1u);
 }
 
+TEST(KmvTest, ExactBelowKForZeroAndCollidingHashes) {
+  // Below k distinct hashes the estimate is the exact count, whatever the
+  // hashes: a zero hash, and hashes that agree in their low and top bits.
+  KmvSketch sketch(256);
+  for (int rep = 0; rep < 3; ++rep) {
+    sketch.AddHash(0);
+    for (uint64_t i = 1; i < 200; ++i) {
+      sketch.AddHash((0x2AULL << 58) | (i << 20) | 0xFFFFFULL);
+    }
+  }
+  EXPECT_EQ(sketch.Estimate(), 200u);
+}
+
 TEST(KmvTest, MergeEquivalentToUnion) {
   KmvSketch a(128), b(128), all(128);
   for (uint64_t v = 0; v < 5000; ++v) {
@@ -205,6 +222,34 @@ TEST(BitUtilTest, CeilDiv) {
   EXPECT_EQ(CeilDiv(1, 4), 1u);
   EXPECT_EQ(CeilDiv(4, 4), 1u);
   EXPECT_EQ(CeilDiv(5, 4), 2u);
+}
+
+// A block below the mmap threshold, freed and allocated again, comes back
+// from the heap with its pages still mapped: the second fill faults in
+// (almost) no fresh page, where glibc's starting thresholds (128 KiB) map
+// and unmap it each time.
+TEST(HeapTest, FreedBlockIsRefilledWithoutFreshPages) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "allocator thresholds are glibc malloc's";
+#else
+  KeepFreedHeapMapped();
+  constexpr size_t kBytes = size_t{8} << 20;
+  static_assert(kBytes < kHeapMmapThreshold);
+  auto fill = [] {
+    std::vector<char> block(kBytes, 1);
+    return block[kBytes - 1];
+  };
+  auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  EXPECT_EQ(fill(), 1);
+  const long before = minor_faults();
+  EXPECT_EQ(fill(), 1);
+  EXPECT_LT(minor_faults() - before, static_cast<long>(kBytes / 4096 / 8));
+#endif
 }
 
 // Restores the default (env unset, threshold kWarning) on scope exit so

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
+#include <tuple>
 
 #include "columnar/table.h"
 #include "common/hash.h"
@@ -185,9 +187,10 @@ TEST(CpuGroupByTest, WorksWithoutThreadPool) {
 TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
   // One HashPartition range of 8 (partition 5) over a two-morsel input:
   // every key hash shares the range's top 3 bits. Told so, the chain
-  // estimates the range's own group count and spreads its merge shards by
-  // the bits below; reading the shared bits instead estimates from the
-  // partition index and sends every group to one shard.
+  // estimates the range's own group count and, its keys being near-unique,
+  // spreads its own partitions by the bits below; reading the shared bits
+  // instead estimates from the partition index and sends every row to one
+  // partition.
   constexpr uint32_t kPartitions = 8;
   Schema schema;
   schema.AddField({"k", DataType::kInt64, false});
@@ -218,8 +221,98 @@ TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
   ASSERT_TRUE(out.ok());
   const double groups = static_cast<double>(out->num_groups());
   EXPECT_NEAR(static_cast<double>(out->kmv_estimate), groups, 0.15 * groups);
-  EXPECT_GT(stats.merge_shards, 1u);
-  EXPECT_GT(stats.nonempty_merge_shards, 1u);
+  EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
+  EXPECT_GT(stats.partitions, 1u);
+  EXPECT_EQ(stats.nonempty_partitions, stats.partitions);
+  EXPECT_EQ(stats.partial_groups, out->num_groups());
+}
+
+// Near-unique keys take the partition-first strategy: a narrow (packed
+// int64) key and a 24-byte wide key (three int64 columns), with a nullable
+// payload and a DECIMAL128 payload, over a selection of several morsels.
+TEST(CpuGroupByTest, PartitionFirstMatchesReferenceNarrowAndWide) {
+  constexpr uint64_t kRows = 160000;
+  Schema schema;
+  schema.AddField({"a", DataType::kInt64, false});
+  schema.AddField({"b", DataType::kInt64, false});
+  schema.AddField({"c", DataType::kInt64, false});
+  schema.AddField({"vi", DataType::kInt64, true});
+  schema.AddField({"dec", DataType::kDecimal128, false});
+  Table t(schema);
+  Rng rng(2024);
+  std::vector<bool> null_at(kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    t.column(0).AppendInt64(static_cast<int64_t>(rng.Below(5000000)));
+    t.column(1).AppendInt64(static_cast<int64_t>(rng.Next() >> 1));
+    t.column(2).AppendInt64(static_cast<int64_t>(rng.Below(7)));
+    null_at[i] = rng.NextDouble() < 0.3;
+    if (null_at[i]) t.column(3).AppendNull();
+    else t.column(3).AppendInt64(rng.Range(-100, 100));
+    t.column(4).AppendDecimal(Decimal128(rng.Range(-100000, 100000)));
+  }
+  std::vector<uint32_t> selection;
+  for (uint32_t i = 0; i < kRows; ++i) {
+    if (i % 7 != 3) selection.push_back(i);
+  }
+
+  for (const bool wide : {false, true}) {
+    GroupBySpec spec;
+    spec.key_columns = wide ? std::vector<int>{0, 1, 2} : std::vector<int>{0};
+    spec.aggregates = {{AggFn::kSum, 3, "sum_i"},
+                       {AggFn::kCount, 3, "n_i"},
+                       {AggFn::kCount, -1, "n"},
+                       {AggFn::kSum, 4, "dec"},
+                       {AggFn::kMax, 4, "dec_max"}};
+    auto plan = GroupByPlan::Make(t, spec);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ(plan->wide_key(), wide);
+    ASSERT_EQ(plan->key_bytes(), wide ? 24 : 8);
+
+    struct RefGroup {
+      int64_t sum_i = 0;
+      int64_t n_i = 0;
+      int64_t n = 0;
+      Decimal128 dec;
+      Decimal128 dec_max = Decimal128(std::numeric_limits<int64_t>::min());
+    };
+    std::map<std::tuple<int64_t, int64_t, int64_t>, RefGroup> ref;
+    for (uint32_t row : selection) {
+      const auto key = std::make_tuple(
+          t.column(0).int64_data()[row],
+          wide ? t.column(1).int64_data()[row] : 0,
+          wide ? t.column(2).int64_data()[row] : 0);
+      RefGroup& g = ref[key];
+      if (!null_at[row]) {
+        g.sum_i += t.column(3).int64_data()[row];
+        ++g.n_i;
+      }
+      ++g.n;
+      g.dec += t.column(4).decimal_data()[row];
+      g.dec_max = std::max(g.dec_max, t.column(4).decimal_data()[row]);
+    }
+
+    ThreadPool pool(3);
+    CpuGroupByStats stats;
+    auto out = CpuGroupBy::Execute(plan.value(), &pool, &selection, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
+    ASSERT_EQ(out->num_groups, ref.size());
+    const Table& res = *out->table;
+    const size_t k = spec.key_columns.size();
+    for (size_t r = 0; r < res.num_rows(); ++r) {
+      const auto key = std::make_tuple(
+          res.column(0).int64_data()[r],
+          wide ? res.column(1).int64_data()[r] : 0,
+          wide ? res.column(2).int64_data()[r] : 0);
+      auto it = ref.find(key);
+      ASSERT_NE(it, ref.end());
+      EXPECT_EQ(res.column(k + 0).int64_data()[r], it->second.sum_i);
+      EXPECT_EQ(res.column(k + 1).int64_data()[r], it->second.n_i);
+      EXPECT_EQ(res.column(k + 2).int64_data()[r], it->second.n);
+      EXPECT_EQ(res.column(k + 3).decimal_data()[r], it->second.dec);
+      EXPECT_EQ(res.column(k + 4).decimal_data()[r], it->second.dec_max);
+    }
+  }
 }
 
 }  // namespace

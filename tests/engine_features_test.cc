@@ -90,6 +90,44 @@ TEST_F(EngineFeaturesTest, LimitTruncatesAfterSort) {
   EXPECT_DOUBLE_EQ(amounts[0], 999 * 0.25);
 }
 
+// LIMIT keeps only the head of the sorted permutation before any row is
+// copied; the sort is still charged for every row it ordered. Both ORDER BY
+// branches (an aggregated result and projected fact rows) return the head
+// of the unlimited query's rows, at the same simulated cost.
+TEST_F(EngineFeaturesTest, LimitBeforeMaterializationKeepsRowsAndCharge) {
+  QuerySpec grouped;
+  grouped.fact_table = "sales";
+  runtime::GroupBySpec g;
+  g.key_columns = {0};
+  g.aggregates = {{runtime::AggFn::kSum, 1, "revenue"}};
+  grouped.groupby = g;
+  grouped.order_by = {{1, false}};
+  QuerySpec rows;
+  rows.fact_table = "sales";
+  rows.projection = {1, 2};
+  rows.order_by = {{0, false}, {1, true}};
+  for (const QuerySpec& base : {grouped, rows}) {
+    QuerySpec limited = base;
+    limited.limit = 7;
+    auto all = engine_->Execute(base);
+    auto head = engine_->Execute(limited);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_TRUE(head.ok()) << head.status().ToString();
+    ASSERT_GT(all->table->num_rows(), 7u);
+    ASSERT_EQ(head->table->num_rows(), 7u);
+    ASSERT_EQ(head->table->num_columns(), all->table->num_columns());
+    for (size_t c = 0; c < all->table->num_columns(); ++c) {
+      for (size_t r = 0; r < 7; ++r) {
+        EXPECT_EQ(head->table->column(c).GetDouble(r),
+                  all->table->column(c).GetDouble(r))
+            << "column " << c << " row " << r;
+      }
+    }
+    EXPECT_EQ(head->profile.total_elapsed, all->profile.total_elapsed);
+    EXPECT_EQ(head->profile.result_rows, 7u);
+  }
+}
+
 TEST_F(EngineFeaturesTest, GroupByResultOrderedByAggregate) {
   QuerySpec q;
   q.fact_table = "sales";
@@ -166,6 +204,18 @@ std::vector<std::string> AnnotationKeys(const QueryProfile& profile) {
 std::string Annotation(const QueryProfile& profile, const std::string& key) {
   const std::string* v = profile.trace.FindAnnotation(key);
   return v != nullptr ? *v : "<unset>";
+}
+
+// Argument `key` of the trace span `span`.
+std::string SpanArg(const QueryProfile& profile, const std::string& span,
+                    const std::string& key) {
+  for (const obs::TraceSpan& s : profile.trace.spans) {
+    if (s.name != span) continue;
+    for (const auto& [k, v] : s.args) {
+      if (k == key) return v;
+    }
+  }
+  return "<unset>";
 }
 
 // 100k fact rows over 2000 group keys (1000 of them pass f < 50), a unique
@@ -341,6 +391,12 @@ TEST_F(GroupByRecordTest, NeverFitsWaitsThenRunsTheCpuChain) {
   EXPECT_EQ(Annotation(p, "degraded"), "true");
   EXPECT_EQ(r->table->num_rows(), 100000u);
   EXPECT_EQ(CounterValue("blusim_router_groupby_fallbacks_total"), 1u);
+  // One group per row: the chain partitions first, into the power of two
+  // of 8192-row partitions that covers 100k rows.
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "rows"), "100000");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "groups"), "100000");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "strategy"), "partition");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "partitions"), "16");
 }
 
 TEST_F(GroupByRecordTest, BudgetCapRunsTheCpuChainWithoutWaiting) {
@@ -360,6 +416,10 @@ TEST_F(GroupByRecordTest, BudgetCapRunsTheCpuChainWithoutWaiting) {
                                       "degraded"}));
   EXPECT_EQ(Annotation(p, "groupby_fallback"), "budget");
   EXPECT_EQ(r->table->num_rows(), 1000u);
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "rows"), "50000");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "groups"), "1000");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "strategy"), "local");
+  EXPECT_EQ(SpanArg(p, "groupby-cpu", "partitions"), "1");
   EXPECT_EQ(CounterValue("blusim_router_budget_capped_total"), 1u);
   EXPECT_EQ(CounterValue("blusim_router_groupby_fallbacks_total"), 1u);
 }

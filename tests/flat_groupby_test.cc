@@ -20,6 +20,7 @@
 #include "runtime/cpu_groupby.h"
 #include "runtime/evaluators.h"
 #include "runtime/flat_table.h"
+#include "runtime/partition_sweep.h"
 
 namespace blusim::runtime {
 namespace {
@@ -241,8 +242,11 @@ TEST(CpuGroupByAdversarialTest, CrossPartitionAndProbeCollisions) {
   EXPECT_GE(stats.partial_groups, kGroups);
 }
 
-// groups ~= rows: every local table's KMV-based sizing is stressed and the
-// shard merge tables must grow-and-rehash their way up.
+// groups ~= rows: the sampled keys are all distinct, so the chain takes the
+// partition-first strategy. Every partition's table holds final groups
+// (their sum is the row count, with no morsel-local duplicate to merge).
+// The key hashes are 2r + 1: small, so they share their top bits and the
+// sweep puts every row in partition 0, which runs alone but correctly.
 TEST(CpuGroupByAdversarialTest, HighCardinalityForcesGrowth) {
   constexpr uint64_t kRows = 200000;  // 4 morsels
   Schema schema;
@@ -258,8 +262,37 @@ TEST(CpuGroupByAdversarialTest, HighCardinalityForcesGrowth) {
   ThreadPool pool(4);
   CpuGroupByStats stats;
   RunDifferential(t, &pool, &stats);
-  EXPECT_EQ(stats.partial_groups, kRows);  // every morsel fully distinct
-  EXPECT_GT(stats.merge_shards, 1u);
+  EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
+  EXPECT_EQ(stats.partial_groups, kRows);  // every partition fully distinct
+  EXPECT_EQ(stats.merge_shards, 0u);       // no merge
+  EXPECT_GT(stats.partitions, 1u);
+  EXPECT_EQ(stats.nonempty_partitions, 1u);
+}
+
+// Near-unique keys with random hashes that all share their top 12 bits.
+// Zero top bits make the sampled KMV estimate read every key as new, so the
+// chain partitions first, and the sweep sends every row to partition 0:
+// one partition runs alone, but correctly. (Any other shared top bits make
+// the sample underestimate, and the local strategy runs instead.)
+TEST(CpuGroupByAdversarialTest, PartitionFirstHashesSharingTopBits) {
+  constexpr uint64_t kRows = 150000;  // 3 morsels
+  Schema schema;
+  schema.AddField({"k", DataType::kInt64, false});
+  schema.AddField({"v", DataType::kInt64, false});
+  Table t(schema);
+  Rng rng(11);
+  for (uint64_t r = 0; r < kRows; ++r) {
+    const uint64_t hash = rng.Next() >> 12;
+    t.column(0).AppendInt64(static_cast<int64_t>(UnMix64(hash)));
+    t.column(1).AppendInt64(rng.Range(-1000, 1000));
+  }
+
+  ThreadPool pool(4);
+  CpuGroupByStats stats;
+  RunDifferential(t, &pool, &stats);
+  EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
+  EXPECT_GT(stats.partitions, 1u);
+  EXPECT_EQ(stats.nonempty_partitions, 1u);
 }
 
 // Serial (no pool) and parallel runs must agree exactly for integer
@@ -281,6 +314,97 @@ TEST(CpuGroupByAdversarialTest, SerialAndParallelAgree) {
   CpuGroupByStats parallel_stats;
   RunDifferential(t, &pool, &parallel_stats);
   EXPECT_GT(parallel_stats.merge_shards, 1u);
+}
+
+// The partition-first strategy is the same computation serial or parallel:
+// its partitions depend only on the row count, each keeps its rows in
+// input order, and they are concatenated in partition order. The two
+// results agree value for value and row for row.
+TEST(CpuGroupByAdversarialTest, PartitionFirstSerialAndParallelAgreeExactly) {
+  Schema schema;
+  schema.AddField({"k", DataType::kInt64, false});
+  schema.AddField({"v", DataType::kInt64, false});
+  Table t(schema);
+  Rng rng(4242);
+  for (uint64_t r = 0; r < 180000; ++r) {
+    t.column(0).AppendInt64(static_cast<int64_t>(rng.Below(4000000)));
+    t.column(1).AppendInt64(rng.Range(-50, 50));
+  }
+  CpuGroupByStats serial_stats;
+  RunDifferential(t, nullptr, &serial_stats);
+  ThreadPool pool(4);
+  CpuGroupByStats parallel_stats;
+  RunDifferential(t, &pool, &parallel_stats);
+  EXPECT_EQ(serial_stats.strategy, CpuGroupByStrategy::kPartition);
+  EXPECT_EQ(parallel_stats.strategy, CpuGroupByStrategy::kPartition);
+  EXPECT_EQ(serial_stats.partitions, parallel_stats.partitions);
+
+  GroupBySpec spec;
+  spec.key_columns = {0};
+  spec.aggregates = {{AggFn::kSum, 1, "s"}, {AggFn::kMin, 1, "mn"}};
+  auto plan = GroupByPlan::Make(t, spec);
+  ASSERT_TRUE(plan.ok());
+  auto serial = CpuGroupBy::Execute(plan.value(), nullptr);
+  auto parallel = CpuGroupBy::Execute(plan.value(), &pool);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ(serial->table->num_rows(), parallel->table->num_rows());
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(serial->table->column(c).int64_data(),
+              parallel->table->column(c).int64_data());
+  }
+}
+
+// The strategy follows the distinct-keys-per-row ratio of the sampled
+// selection: a mid-cardinality selection (65536 keys over 200k rows reads
+// about 0.63) stays local, a near-unique one partitions first, and a
+// near-unique selection of one morsel has no merge to skip and stays local.
+TEST(CpuGroupByAdversarialTest, StrategyFollowsTheSampledDistinctRatio) {
+  Schema schema;
+  schema.AddField({"mid", DataType::kInt64, false});
+  schema.AddField({"unique", DataType::kInt64, false});
+  schema.AddField({"v", DataType::kInt64, false});
+  Table t(schema);
+  Rng rng(77);
+  for (uint64_t r = 0; r < 400000; ++r) {
+    t.column(0).AppendInt64(static_cast<int64_t>(rng.Below(65536)));
+    t.column(1).AppendInt64(static_cast<int64_t>(UnMix64(r)));
+    t.column(2).AppendInt64(1);
+  }
+  std::vector<uint32_t> every_other;
+  for (uint32_t r = 0; r < t.num_rows(); r += 2) every_other.push_back(r);
+  const std::vector<uint32_t> one_morsel(
+      every_other.begin(), every_other.begin() + CpuGroupBy::kMorselRows);
+
+  struct Case {
+    int key;
+    const std::vector<uint32_t>* selection;
+    bool above;  // sampled ratio above the threshold
+    CpuGroupByStrategy strategy;
+  };
+  const Case cases[] = {
+      {0, &every_other, false, CpuGroupByStrategy::kLocal},
+      {1, &every_other, true, CpuGroupByStrategy::kPartition},
+      {1, &one_morsel, true, CpuGroupByStrategy::kLocal},
+  };
+  ThreadPool pool(3);
+  for (const Case& c : cases) {
+    GroupBySpec spec;
+    spec.key_columns = {c.key};
+    spec.aggregates = {{AggFn::kSum, 2, "s"}};
+    auto plan = GroupByPlan::Make(t, spec);
+    ASSERT_TRUE(plan.ok());
+    const double ratio = SampleKeys(plan.value(), c.selection).DistinctPerRow();
+    EXPECT_EQ(ratio > CpuGroupBy::kPartitionMinDistinctPerRow, c.above)
+        << "key " << c.key << " ratio " << ratio;
+    CpuGroupByStats stats;
+    auto out = CpuGroupBy::Execute(plan.value(), &pool, c.selection, &stats);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(stats.strategy, c.strategy) << "key " << c.key;
+    int64_t total = 0;
+    for (int64_t s : out->table->column(1).int64_data()) total += s;
+    EXPECT_EQ(total, static_cast<int64_t>(c.selection->size()));
+  }
 }
 
 }  // namespace
