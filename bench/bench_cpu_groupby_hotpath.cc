@@ -4,15 +4,20 @@
 // allocated accumulators and a global-mutex merge), which is kept here
 // verbatim as the "before" baseline.
 //
-// Emits BENCH_cpu_groupby.json with rows/sec for low-, mid- and
-// high-cardinality keys at 1 thread and N threads, so the perf trajectory
-// of the CPU chain (which feeds the T1/T2/T3 routing decisions) stays
-// measurable.
+// Emits BENCH_cpu_groupby.json with rows/sec for low-, few-hundred-, mid-
+// and high-cardinality keys at 1 thread and N threads, so the perf
+// trajectory of the CPU chain (which feeds the T1/T2/T3 routing decisions)
+// stays measurable. The few-hundred case sits between the HASH evaluator's
+// KMV k (256) and 2k, where most rows hash below a full sketch's root.
+//
+// Differential: each case's result (sorted key, SUM, COUNT rows) and KMV
+// estimate must equal the baseline's; the binary exits non-zero otherwise.
 //
 // Env knobs: BLUSIM_BENCH_ROWS (default 2000000), BLUSIM_BENCH_REPS
 // (default 3, best-of), BLUSIM_BENCH_THREADS (default hardware).
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -153,6 +158,17 @@ columnar::Table MakeTable(uint64_t rows, uint64_t groups) {
   return t;
 }
 
+// A result table's rows (key, SUM, COUNT), sorted: the differential's
+// order-free view of a group-by output.
+std::vector<std::array<int64_t, 3>> SortedRows(const columnar::Table& t) {
+  std::vector<std::array<int64_t, 3>> rows(t.num_rows());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < 3; ++c) rows[r][c] = t.column(c).GetInt64(r);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 template <typename Fn>
 double MeasureRowsPerSec(uint64_t rows, int reps, Fn run) {
   double best = 0;
@@ -188,6 +204,7 @@ int main() {
   };
   const CaseSpec cases[] = {
       {"low_cardinality", 64},
+      {"few_hundred", 300},
       {"mid_cardinality", 65536},
       {"high_cardinality", rows},  // groups ~= rows
   };
@@ -211,8 +228,24 @@ int main() {
     {
       CpuGroupByStats stats;
       auto out = CpuGroupBy::Execute(plan.value(), &pool, nullptr, &stats);
-      if (!out.ok()) {
-        std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
+      auto legacy = LegacyCpuGroupBy(plan.value(), &pool);
+      if (!out.ok() || !legacy.ok()) {
+        std::fprintf(stderr, "%s\n",
+                     (out.ok() ? legacy.status() : out.status())
+                         .ToString()
+                         .c_str());
+        return 1;
+      }
+      if (SortedRows(*out->table) != SortedRows(*legacy->table) ||
+          out->kmv_estimate != legacy->kmv_estimate) {
+        std::fprintf(stderr,
+                     "%s: result differs from the baseline (groups %llu vs "
+                     "%llu, kmv %llu vs %llu)\n",
+                     c.name,
+                     static_cast<unsigned long long>(out->num_groups),
+                     static_cast<unsigned long long>(legacy->num_groups),
+                     static_cast<unsigned long long>(out->kmv_estimate),
+                     static_cast<unsigned long long>(legacy->kmv_estimate));
         return 1;
       }
       r.groups_actual = out->num_groups;

@@ -30,6 +30,11 @@ actually built):
      the CostModel group-by primitives directly; they price and charge a
      group-by through the term functions of src/groupby/price.h, so no
      second copy of the price can grow back.
+  F. no per-row key or predicate calls -- RowMatchesPredicates(,
+     .PackKey(, .KeyHash( and FillWideKey( may appear in src/ only in the
+     two batch kernels (src/runtime/predicate.* and
+     src/runtime/groupby_plan.*): every host sweep evaluates predicates
+     and packs or hashes keys a batch at a time, column by column.
 
 Usage:
   scripts/blusim_lint.py [--root DIR] [--compile-commands JSON] [-q]
@@ -133,6 +138,20 @@ PRICE_PRIMITIVE_RE = re.compile(
     r"\b(HostGroupByTime|HostFusedStageTime|GroupByKernelTime|"
     r"FusedScanAggregateTime|HashTableInitTime)\s*\(")
 PRICE_CLIENTS = ("src/core/", "src/groupby/partitioned.cc")
+
+# --- check F: per-row key and predicate calls ---------------------------
+
+PER_ROW_RE = re.compile(
+    r"\bRowMatchesPredicates\s*\(|(?:\.|->)\s*(?:PackKey|KeyHash)\s*\(|"
+    r"\bFillWideKey\s*\(")
+# The predicate kernel and the key kernel, whose one-row key entry points
+# (test oracles) are defined in terms of the batch calls.
+BATCH_KERNEL_FILES = {
+    "src/runtime/predicate.h",
+    "src/runtime/predicate.cc",
+    "src/runtime/groupby_plan.h",
+    "src/runtime/groupby_plan.cc",
+}
 
 
 class Finding:
@@ -408,6 +427,25 @@ def check_price(root, files):
     return findings
 
 
+def check_per_row(root, files):
+    findings = []
+    for rel in files:
+        if rel.replace(os.sep, "/") in BATCH_KERNEL_FILES:
+            continue
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            m = PER_ROW_RE.search(line)
+            if m:
+                call = re.sub(r"\s+", "", m.group(0)).lstrip(".->")
+                findings.append(Finding(
+                    "perrow", rel, lineno,
+                    f"per-row {call}...) call; evaluate predicates with "
+                    "runtime::SelectRows and pack or hash keys with "
+                    "GroupByPlan::PackKeys / FillWideKeys / HashKeys"))
+    return findings
+
+
 def check_compile_db(root, files, db_path):
     """Every src/ .cc must be in the compile database: a file that is not
     built is a file none of the compiler-enforced checks ever saw."""
@@ -444,7 +482,7 @@ def run_checks(root, db_path=None, checks=None):
     files = list(iter_source_files(root))
     findings = []
     enabled = checks or ("layering", "metrics", "primitives",
-                         "nondeterminism", "price", "compiledb")
+                         "nondeterminism", "price", "perrow", "compiledb")
     if "layering" in enabled:
         findings += check_layering(root, files)
     if "metrics" in enabled:
@@ -455,6 +493,8 @@ def run_checks(root, db_path=None, checks=None):
         findings += check_nondeterminism(root, files)
     if "price" in enabled:
         findings += check_price(root, files)
+    if "perrow" in enabled:
+        findings += check_per_row(root, files)
     if "compiledb" in enabled and db_path:
         findings += check_compile_db(root, files, db_path)
     return findings

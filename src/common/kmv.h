@@ -22,6 +22,10 @@ class KmvSketch {
 
   // Adds one already-hashed value (use Mix64/Murmur3_64 upstream).
   void AddHash(uint64_t hash);
+  // Adds `n` hashes, with the result of AddHash on each in turn. A full
+  // heap's common rejections (a hash at or above the root, or one already
+  // kept) run inline, without a call per hash.
+  void AddHashes(const uint64_t* hashes, size_t n);
 
   // Merges another sketch (same k) into this one. Used when parallel
   // evaluator threads each maintain a local sketch.
@@ -35,24 +39,31 @@ class KmvSketch {
 
   size_t k() const { return k_; }
   size_t size() const { return heap_.size(); }
+  // The kept hashes (the k smallest distinct ones seen), in heap order.
+  const std::vector<uint64_t>& kept_hashes() const { return heap_; }
 
  private:
   void SiftUp(size_t i);
   void SiftDown(size_t i);
-  bool Contains(uint64_t hash) const;
+  size_t HomeSlot(uint64_t hash) const;
+  // True when `hash` is in the kept set (the index exists once any nonzero
+  // hash was added).
+  bool Kept(uint64_t hash) const;
   // Adds `hash` to the kept set's index; false if it was already there.
   bool InsertKept(uint64_t hash);
+  // Removes `hash`, which the index holds, from it.
+  void EraseKept(uint64_t hash);
 
   size_t k_;
   // Max-heap of the k smallest hash values (root = largest of the kept set).
   std::vector<uint64_t> heap_;
-  // Until the heap holds k hashes, every added hash is a candidate and
-  // needs a membership test: an open-addressing index over the kept hashes
-  // (0 = empty slot, a zero hash is flagged apart) makes it O(1) instead of
-  // a scan of the heap, which low-cardinality keys paid on every row. Once
-  // the heap is full only hashes below its root are looked up, rarely, in
-  // the heap itself.
+  // Membership of the kept set: an open-addressing index over exactly the
+  // hashes in heap_ (0 = empty slot, a zero hash is flagged apart), so a
+  // repeated hash costs O(1) whether the heap is filling or full. Keys with
+  // between k and a few thousand distinct values send most rows below the
+  // root of a full heap, where a scan of the heap would run for each.
   std::vector<uint64_t> kept_index_;
+  int index_shift_ = 64;
   bool kept_zero_ = false;
 };
 

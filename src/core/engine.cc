@@ -10,6 +10,7 @@
 #include "groupby/price.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/operators.h"
+#include "runtime/partition_sweep.h"
 #include "sort/gpu_sort.h"
 #include "sort/hybrid_sort.h"
 
@@ -135,19 +136,21 @@ OptimizerEstimates SampleEstimates(const GroupByPlan& plan, const Table& fact,
   const uint64_t target =
       std::min<uint64_t>(n, std::max<uint64_t>(4096, n / 64));
   const uint64_t step = std::max<uint64_t>(1, n / target);
-  KmvSketch sketch(512);
-  uint64_t examined = 0;
-  uint64_t passed = 0;
+  std::vector<uint32_t> sampled;
+  sampled.reserve(n / step + 1);
   for (uint64_t row = 0; row < n; row += step) {
-    ++examined;
-    if (!filters.empty() &&
-        !runtime::RowMatchesPredicates(fact, filters,
-                                       static_cast<uint32_t>(row))) {
-      continue;
-    }
-    ++passed;
-    sketch.AddHash(plan.KeyHash(row));
+    sampled.push_back(static_cast<uint32_t>(row));
   }
+  const uint64_t examined = sampled.size();
+  std::vector<uint32_t> passing;
+  runtime::SelectRows(fact, filters, sampled.data(),
+                      runtime::MorselRange{0, examined}, &passing);
+  const uint64_t passed = passing.size();
+  std::vector<uint64_t> hashes(passed);
+  plan.HashKeys(passing.data(), runtime::MorselRange{0, passed},
+                hashes.data());
+  KmvSketch sketch(512);
+  sketch.AddHashes(hashes.data(), passed);
   est.rows = examined > 0 ? n * passed / examined : n;
   const uint64_t distinct = std::max<uint64_t>(1, sketch.Estimate());
   // Near-unique sampled keys mean the distinct count grows with the input
@@ -377,6 +380,7 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   };
 
   OptimizerEstimates estimates;
+  const WallTimer kmv_timer;
   if (deferred) {
     estimates = SampleEstimates(plan, fact, query.fact_filters);
   } else if (!selection->empty()) {
@@ -384,12 +388,12 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
     // HASH evaluator produces for the GPU runtime (section 4.2). A sketch
     // cannot be fooled by bounded domains the way sample-extrapolation
     // can, and the pass is a tiny fraction of the query's work.
-    KmvSketch sketch(512);
-    for (uint32_t row : *selection) sketch.AddHash(plan.KeyHash(row));
     estimates.rows = selection->size();
-    estimates.groups = std::max<uint64_t>(1, sketch.Estimate());
+    estimates.groups = std::max<uint64_t>(
+        1, runtime::CountDistinctKeys(plan, &pool_, selection, 512));
   }
   trace->Annotate("kmv_estimate", std::to_string(estimates.groups));
+  trace->Annotate("kmv_wall_us", std::to_string(kmv_timer.ElapsedUs()));
 
   // Cap T3 by what actually fits on a device (inputs + table).
   RouterThresholds thresholds = config_.thresholds;

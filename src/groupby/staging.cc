@@ -178,7 +178,7 @@ Result<StagedInput> StageSoA(const GroupByPlan& plan,
 }
 
 // One slot's source for the fused record write, resolved once before the
-// parallel sweep so the per-row loop touches the columns directly.
+// parallel sweep so the sweep touches the columns directly.
 struct FusedFieldSpec {
   const Column* column = nullptr;
   DataType input_type = DataType::kInt64;
@@ -235,75 +235,79 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
   std::atomic<uint64_t> cursor{0};
 
   auto process = [&](uint64_t m) {
-    const runtime::MorselRange range = runtime::GetMorsel(n, kMorselRows, m);
-    std::vector<char> scratch(range.size() * stride_bytes);
+    // Fused filter: the predicate kernel keeps the morsel's survivors, and
+    // failing rows are never keyed, hashed or staged.
     std::vector<uint32_t> ids;
-    ids.reserve(range.size());
-    KmvSketch kmv(256);
-    uint64_t count = 0;
+    runtime::SelectRows(table, filter,
+                        selection != nullptr ? selection->data() : nullptr,
+                        runtime::GetMorsel(n, kMorselRows, m), &ids);
+    const uint64_t count = ids.size();
+    std::vector<uint64_t> keys(count);
+    plan.PackKeys(ids.data(), runtime::MorselRange{0, count}, keys.data());
+    std::vector<char> scratch(count * stride_bytes);
+    // Same hashes the HASH evaluator feeds its sketch, so fused and
+    // unfused staging report identical group estimates for identical
+    // survivor sets.
+    std::vector<uint64_t> hashes(count);
     uint64_t sentinel_seen = 0;
-
-    for (uint64_t pos = range.begin; pos < range.end; ++pos) {
-      const uint32_t row =
-          selection ? (*selection)[pos] : static_cast<uint32_t>(pos);
-      // Fused filter: failing rows are never keyed, hashed or staged.
-      if (!filter.empty() &&
-          !runtime::RowMatchesPredicates(table, filter, row)) {
-        continue;
-      }
-      const uint64_t key = plan.PackKey(row);
+    for (uint64_t i = 0; i < count; ++i) {
+      const uint64_t key = keys[i];
       // A 4-byte key (key_bits <= 32) can never equal the 64-bit all-Fs
       // sentinel; only full-width keys need the check.
       sentinel_seen |=
           static_cast<uint64_t>(layout.key_bytes == 8 && key == kEmptyKey64);
-      // Same hash the HASH evaluator feeds its sketch, so fused and
-      // unfused staging report identical group estimates for identical
-      // survivor sets.
-      kmv.AddHash(Mix64(key));
-
-      char* rec = scratch.data() + count * stride_bytes;
+      hashes[i] = Mix64(key);
+      char* rec = scratch.data() + i * stride_bytes;
       if (layout.key_bytes == 4) {
         const uint32_t k32 = static_cast<uint32_t>(key);
         std::memcpy(rec, &k32, 4);
       } else {
         std::memcpy(rec, &key, 8);
       }
-      uint32_t tag = 0;
-      for (size_t s = 0; s < fields.size(); ++s) {
-        const FusedFieldSpec& f = fields[s];
-        if (f.column == nullptr) continue;
-        if (f.tag_bit >= 0 && !f.column->IsNull(row)) {
-          tag |= 1u << f.tag_bit;
-        }
-        if (f.value_offset < 0) continue;
-        char* dst = rec + f.value_offset;
-        // NULL rows still copy the placeholder value; the kernel masks
-        // them via the validity tag, mirroring the SoA arrays.
-        switch (f.input_type) {
-          case DataType::kInt32:
-          case DataType::kDate:
-            std::memcpy(dst, &f.column->int32_data()[row], 4);
-            break;
-          case DataType::kInt64:
-            std::memcpy(dst, &f.column->int64_data()[row], 8);
-            break;
-          case DataType::kFloat64:
-            std::memcpy(dst, &f.column->float64_data()[row], 8);
-            break;
-          case DataType::kDecimal128:
-            std::memcpy(dst, &f.column->decimal_data()[row], 16);
-            break;
-          case DataType::kString:
-            break;  // string aggregates are rejected at plan time
-        }
-      }
-      if (layout.tag_bytes > 0) {
-        std::memcpy(rec + layout.tag_offset, &tag,
-                    static_cast<size_t>(layout.tag_bytes));
-      }
-      ids.push_back(row);
-      ++count;
     }
+    // The record fields, one slot at a time. NULL rows still copy the
+    // placeholder value; the kernel masks them via the validity tag,
+    // mirroring the SoA arrays.
+    std::vector<uint32_t> tags(layout.tag_bytes > 0 ? count : 0, 0);
+    for (const FusedFieldSpec& f : fields) {
+      if (f.column == nullptr) continue;
+      if (f.tag_bit >= 0) {
+        const uint32_t bit = 1u << f.tag_bit;
+        for (uint64_t i = 0; i < count; ++i) {
+          if (!f.column->IsNull(ids[i])) tags[i] |= bit;
+        }
+      }
+      if (f.value_offset < 0) continue;
+      char* dst = scratch.data() + f.value_offset;
+      auto copy = [&](const auto* data) {
+        for (uint64_t i = 0; i < count; ++i) {
+          std::memcpy(dst + i * stride_bytes, &data[ids[i]], sizeof(*data));
+        }
+      };
+      switch (f.input_type) {
+        case DataType::kInt32:
+        case DataType::kDate:
+          copy(f.column->int32_data().data());
+          break;
+        case DataType::kInt64:
+          copy(f.column->int64_data().data());
+          break;
+        case DataType::kFloat64:
+          copy(f.column->float64_data().data());
+          break;
+        case DataType::kDecimal128:
+          copy(f.column->decimal_data().data());
+          break;
+        case DataType::kString:
+          break;  // string aggregates are rejected at plan time
+      }
+    }
+    for (uint64_t i = 0; i < tags.size(); ++i) {
+      std::memcpy(scratch.data() + i * stride_bytes + layout.tag_offset,
+                  &tags[i], static_cast<size_t>(layout.tag_bytes));
+    }
+    KmvSketch kmv(256);
+    kmv.AddHashes(hashes.data(), count);
 
     if (sentinel_seen != 0) {
       key_sentinel_hit.store(true, std::memory_order_relaxed);

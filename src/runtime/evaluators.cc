@@ -9,16 +9,14 @@ using columnar::DataType;
 
 Status LoadConcatKeysEvaluator::Process(Stride* stride) const {
   const uint64_t n = stride->num_rows();
+  const uint32_t* rows =
+      stride->selection != nullptr ? stride->selection->data() : nullptr;
   if (plan_->wide_key()) {
     stride->wide_keys.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      plan_->FillWideKey(stride->InputRow(i), &stride->wide_keys[i]);
-    }
+    plan_->FillWideKeys(rows, stride->range, stride->wide_keys.data());
   } else {
     stride->packed_keys.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      stride->packed_keys[i] = plan_->PackKey(stride->InputRow(i));
-    }
+    plan_->PackKeys(rows, stride->range, stride->packed_keys.data());
   }
   return Status::OK();
 }
@@ -119,7 +117,7 @@ Status HashEvaluator::Process(Stride* stride) const {
   }
   // Feed the KMV group-count estimator (section 4.2: "The HASH evaluator
   // and KMV algorithm together ... estimate ... the number of groups").
-  for (uint64_t i = 0; i < n; ++i) stride->kmv.AddHash(stride->hashes[i]);
+  stride->kmv.AddHashes(stride->hashes.data(), n);
   return Status::OK();
 }
 

@@ -1,5 +1,7 @@
 #include "runtime/groupby_plan.h"
 
+#include <algorithm>
+
 #include "columnar/dictionary.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -28,17 +30,55 @@ int ComponentBits(DataType type) {
   return 64;
 }
 
-// The raw component value of row `row` in key column `col` as a 64-bit
-// pattern (strings via their dictionary code).
-uint64_t ComponentValue(const Column& col, const std::vector<int32_t>& codes,
-                        size_t row) {
-  if (col.type() == DataType::kString) {
-    return static_cast<uint32_t>(codes[row]);
+// Calls f(j, row) for input row j of a batch: row id range.begin + j when
+// `rows` is nullptr, else rows[range.begin + j].
+template <typename F>
+void ForEachRow(const uint32_t* rows, MorselRange range, F&& f) {
+  const uint64_t n = range.size();
+  if (rows == nullptr) {
+    const auto base = static_cast<uint32_t>(range.begin);
+    for (uint64_t j = 0; j < n; ++j) f(j, base + static_cast<uint32_t>(j));
+  } else {
+    const uint32_t* batch = rows + range.begin;
+    for (uint64_t j = 0; j < n; ++j) f(j, batch[j]);
   }
-  if (col.type() == DataType::kInt32 || col.type() == DataType::kDate) {
-    return static_cast<uint32_t>(col.int32_data()[row]);
+}
+
+// Calls `f` with a reader of one key column's component value, as a 64-bit
+// pattern, for a row id: 32-bit values (int32/date, and string dictionary
+// codes) zero-extended, int64 and float64 values as their raw bits.
+// DECIMAL128 components are copied whole by FillWideKeys instead.
+template <typename F>
+void WithComponent(const Column& col, const std::vector<int32_t>& codes,
+                   F&& f) {
+  switch (col.type()) {
+    case DataType::kString:
+    case DataType::kInt32:
+    case DataType::kDate: {
+      const int32_t* data = col.type() == DataType::kString
+                                ? codes.data()
+                                : col.int32_data().data();
+      return f([data](uint32_t row) -> uint64_t {
+        return static_cast<uint32_t>(data[row]);
+      });
+    }
+    case DataType::kInt64: {
+      const int64_t* data = col.int64_data().data();
+      return f([data](uint32_t row) -> uint64_t {
+        return static_cast<uint64_t>(data[row]);
+      });
+    }
+    case DataType::kFloat64: {
+      const double* data = col.float64_data().data();
+      return f([data](uint32_t row) -> uint64_t {
+        uint64_t bits;
+        std::memcpy(&bits, &data[row], sizeof(bits));
+        return bits;
+      });
+    }
+    case DataType::kDecimal128:
+      BLUSIM_CHECK(false);
   }
-  return col.HashableKey(row);
 }
 
 }  // namespace
@@ -152,51 +192,100 @@ int GroupByPlan::payload_bytes_per_row() const {
   return bytes;
 }
 
-uint64_t GroupByPlan::PackKey(size_t row) const {
+void GroupByPlan::PackKeys(const uint32_t* rows, MorselRange range,
+                           uint64_t* out) const {
   BLUSIM_DCHECK(!wide_key_);
-  uint64_t key = 0;
   for (size_t i = 0; i < spec_.key_columns.size(); ++i) {
     const Column& col =
         table_->column(static_cast<size_t>(spec_.key_columns[i]));
-    const uint64_t v = ComponentValue(col, string_codes_[i], row);
     const int w = component_bits_[i];
-    key = (w >= 64) ? v : ((key << w) | (v & ((1ULL << w) - 1)));
+    const uint64_t mask = w >= 64 ? ~uint64_t{0} : (uint64_t{1} << w) - 1;
+    WithComponent(col, string_codes_[i], [&](auto value) {
+      if (i == 0 || w >= 64) {
+        ForEachRow(rows, range, [&](uint64_t j, uint32_t row) {
+          out[j] = value(row) & mask;
+        });
+      } else {
+        ForEachRow(rows, range, [&](uint64_t j, uint32_t row) {
+          out[j] = (out[j] << w) | (value(row) & mask);
+        });
+      }
+    });
   }
-  return key;
 }
 
-uint64_t GroupByPlan::KeyHash(size_t row) const {
-  if (!wide_key_) return Mix64(PackKey(row));
-  WideKey wk;
-  FillWideKey(row, &wk);
-  return Murmur3_64(wk.bytes, wk.len);
-}
-
-void GroupByPlan::FillWideKey(size_t row, WideKey* out) const {
+void GroupByPlan::FillWideKeys(const uint32_t* rows, MorselRange range,
+                               WideKey* out) const {
   BLUSIM_DCHECK(wide_key_);
-  uint8_t* p = out->bytes;
+  size_t offset = 0;
   for (size_t i = 0; i < spec_.key_columns.size(); ++i) {
     const Column& col =
         table_->column(static_cast<size_t>(spec_.key_columns[i]));
     const int w = component_bits_[i];
     if (w == 128) {
-      const columnar::Decimal128& d = col.GetDecimal(row);
-      std::memcpy(p, &d, 16);
-      p += 16;
-    } else if (w == 64) {
-      const uint64_t v = ComponentValue(col, string_codes_[i], row);
-      std::memcpy(p, &v, 8);
-      p += 8;
+      const columnar::Decimal128* data = col.decimal_data().data();
+      ForEachRow(rows, range, [&](uint64_t j, uint32_t row) {
+        std::memcpy(out[j].bytes + offset, &data[row], 16);
+      });
     } else {
-      const uint32_t v =
-          static_cast<uint32_t>(ComponentValue(col, string_codes_[i], row));
-      std::memcpy(p, &v, 4);
-      p += 4;
+      WithComponent(col, string_codes_[i], [&](auto value) {
+        ForEachRow(rows, range, [&](uint64_t j, uint32_t row) {
+          const uint64_t v = value(row);
+          if (w == 64) {
+            std::memcpy(out[j].bytes + offset, &v, 8);
+          } else {
+            const auto v32 = static_cast<uint32_t>(v);
+            std::memcpy(out[j].bytes + offset, &v32, 4);
+          }
+        });
+      });
+    }
+    offset += static_cast<size_t>(w / 8);
+  }
+  // Zero the tail so bytewise equality over kCapacity stays well-defined.
+  for (uint64_t j = 0; j < range.size(); ++j) {
+    out[j].len = static_cast<uint8_t>(offset);
+    std::memset(out[j].bytes + offset, 0, WideKey::kCapacity - offset);
+  }
+}
+
+void GroupByPlan::HashKeys(const uint32_t* rows, MorselRange range,
+                           uint64_t* out) const {
+  if (!wide_key_) {
+    PackKeys(rows, range, out);
+    for (uint64_t j = 0; j < range.size(); ++j) out[j] = Mix64(out[j]);
+    return;
+  }
+  // Wide keys are filled a block at a time into a small buffer and hashed.
+  constexpr uint64_t kBlock = 256;
+  std::vector<WideKey> keys(std::min(range.size(), kBlock));
+  for (uint64_t begin = range.begin; begin < range.end; begin += kBlock) {
+    const MorselRange block{begin, std::min(begin + kBlock, range.end)};
+    FillWideKeys(rows, block, keys.data());
+    uint64_t* dst = out + (begin - range.begin);
+    for (uint64_t j = 0; j < block.size(); ++j) {
+      dst[j] = Murmur3_64(keys[j].bytes, keys[j].len);
     }
   }
-  out->len = static_cast<uint8_t>(p - out->bytes);
-  // Zero the tail so bytewise equality over kCapacity stays well-defined.
-  std::memset(p, 0, static_cast<size_t>(WideKey::kCapacity - out->len));
+}
+
+uint64_t GroupByPlan::PackKey(size_t row) const {
+  const auto r = static_cast<uint32_t>(row);
+  uint64_t key = 0;
+  PackKeys(&r, MorselRange{0, 1}, &key);
+  return key;
+}
+
+void GroupByPlan::FillWideKey(size_t row, WideKey* out) const {
+  const auto r = static_cast<uint32_t>(row);
+  FillWideKeys(&r, MorselRange{0, 1}, out);
+}
+
+uint64_t GroupByPlan::KeyHash(size_t row) const {
+  const auto r = static_cast<uint32_t>(row);
+  uint64_t hash = 0;
+  HashKeys(&r, MorselRange{0, 1}, &hash);
+  return hash;
 }
 
 }  // namespace blusim::runtime

@@ -95,14 +95,24 @@ class GroupByPlan {
   }
   const std::vector<Predicate>& stage_filter() const { return stage_filter_; }
 
-  // --- Row-level key extraction (used by evaluators and tests) ---
-  // Packs row `row`'s grouping key; valid only when !wide_key().
+  // --- The key kernel (LCOG + CCAT, column-at-a-time) ---
+  // Each call reads a batch of input rows -- the row ids range.begin ..
+  // range.end-1 when `rows` is nullptr, else rows[range.begin..range.end)
+  // -- one key column at a time, and writes one entry per input row to
+  // out[0..range.size()).
+  // Packs the narrow grouping keys; valid only when !wide_key().
+  void PackKeys(const uint32_t* rows, MorselRange range, uint64_t* out) const;
+  // Fills the wide keys; valid only when wide_key().
+  void FillWideKeys(const uint32_t* rows, MorselRange range,
+                    WideKey* out) const;
+  // 64-bit key hashes: Mix64 over a packed key, Murmur3 over a wide key's
+  // used bytes (section 4.3.1). What the HASH evaluator, the group-count
+  // sketches and the partition sweep hash.
+  void HashKeys(const uint32_t* rows, MorselRange range, uint64_t* out) const;
+
+  // Row `row` through the kernel above, one row per call.
   uint64_t PackKey(size_t row) const;
-  // Fills a wide key for row `row`; valid only when wide_key().
   void FillWideKey(size_t row, WideKey* out) const;
-  // 64-bit hash of row `row`'s grouping key (Murmur3 over a wide key,
-  // Mix64 over a packed one): what group-count sketches and the partition
-  // sweep hash.
   uint64_t KeyHash(size_t row) const;
 
  private:

@@ -15,59 +15,7 @@ namespace {
 
 constexpr uint64_t kMorselRows = 65536;
 
-bool EvalNumeric(CmpOp op, double v, double lo, double hi) {
-  switch (op) {
-    case CmpOp::kEq: return v == lo;
-    case CmpOp::kNe: return v != lo;
-    case CmpOp::kLt: return v < lo;
-    case CmpOp::kLe: return v <= lo;
-    case CmpOp::kGt: return v > lo;
-    case CmpOp::kGe: return v >= lo;
-    case CmpOp::kBetween: return v >= lo && v <= hi;
-  }
-  return false;
-}
-
-bool EvalPredicate(const Predicate& p, const Column& col, uint32_t row) {
-  if (col.IsNull(row)) return false;  // SQL: NULL comparisons are not true
-  if (col.type() == DataType::kString) {
-    const std::string& s = col.string_data()[row];
-    switch (p.op) {
-      case CmpOp::kEq: return s == p.str;
-      case CmpOp::kNe: return s != p.str;
-      case CmpOp::kLt: return s < p.str;
-      case CmpOp::kLe: return s <= p.str;
-      case CmpOp::kGt: return s > p.str;
-      case CmpOp::kGe: return s >= p.str;
-      case CmpOp::kBetween: return false;
-    }
-    return false;
-  }
-  return EvalNumeric(p.op, col.GetDouble(row), p.lo, p.hi);
-}
-
 }  // namespace
-
-bool RowMatchesPredicates(const Table& table,
-                          const std::vector<Predicate>& predicates,
-                          uint32_t row) {
-  for (const Predicate& p : predicates) {
-    const Column& col = table.column(static_cast<size_t>(p.column));
-    if (!EvalPredicate(p, col, row)) return false;
-  }
-  return true;
-}
-
-Status ValidatePredicates(const Table& table,
-                          const std::vector<Predicate>& predicates) {
-  for (const Predicate& p : predicates) {
-    if (p.column < 0 || static_cast<size_t>(p.column) >= table.num_columns()) {
-      return Status::InvalidArgument("predicate on bad column " +
-                                     std::to_string(p.column));
-    }
-  }
-  return Status::OK();
-}
 
 Result<std::vector<uint32_t>> FilterScan(
     const Table& table, const std::vector<Predicate>& predicates,
@@ -78,13 +26,8 @@ Result<std::vector<uint32_t>> FilterScan(
   std::vector<std::vector<uint32_t>> partials(num_morsels);
 
   auto scan_morsel = [&](uint64_t m) {
-    const MorselRange r = GetMorsel(total, kMorselRows, m);
-    std::vector<uint32_t>& out = partials[m];
-    for (uint64_t row = r.begin; row < r.end; ++row) {
-      if (RowMatchesPredicates(table, predicates, static_cast<uint32_t>(row))) {
-        out.push_back(static_cast<uint32_t>(row));
-      }
-    }
+    SelectRows(table, predicates, nullptr, GetMorsel(total, kMorselRows, m),
+               &partials[m]);
   };
 
   if (pool != nullptr) {
@@ -94,6 +37,7 @@ Result<std::vector<uint32_t>> FilterScan(
   }
 
   // Concatenate in morsel order -> ascending row ids.
+  if (num_morsels == 1) return std::move(partials.front());
   size_t n = 0;
   for (const auto& p : partials) n += p.size();
   std::vector<uint32_t> selection;
@@ -118,6 +62,12 @@ Result<JoinResult> HashJoin(const Table& fact, const Table& dim,
   }
   const Column& fk = fact.column(static_cast<size_t>(spec.fact_fk_column));
   const Column& pk = dim.column(static_cast<size_t>(spec.dim_pk_column));
+  for (const Column* key : {&fk, &pk}) {
+    if (key->type() != DataType::kInt32 && key->type() != DataType::kDate &&
+        key->type() != DataType::kInt64) {
+      return Status::InvalidArgument("join keys must be integer columns");
+    }
+  }
 
   // Build phase (dimension side, typically small). Flat open-addressing
   // table sized up front: probes in the parallel phase below touch one
@@ -140,18 +90,29 @@ Result<JoinResult> HashJoin(const Table& fact, const Table& dim,
   const uint64_t num_morsels = NumMorsels(total, kMorselRows);
   std::vector<JoinResult> partials(num_morsels);
 
+  // The FK column is read through its typed vector, once per morsel.
+  const bool fk_nulls = fk.has_nulls();
   auto probe_morsel = [&](uint64_t m) {
     const MorselRange r = GetMorsel(total, kMorselRows, m);
     JoinResult& out = partials[m];
-    for (uint64_t i = r.begin; i < r.end; ++i) {
-      const uint32_t row = fact_selection ? (*fact_selection)[i]
-                                          : static_cast<uint32_t>(i);
-      if (fk.IsNull(row)) continue;
-      const uint32_t* dim_row = build.Find(fk.GetInt64(row));
-      if (dim_row != nullptr) {
-        out.fact_rows.push_back(row);
-        out.dim_rows.push_back(*dim_row);
+    out.fact_rows.reserve(r.size());
+    out.dim_rows.reserve(r.size());
+    auto probe = [&](const auto* keys) {
+      for (uint64_t i = r.begin; i < r.end; ++i) {
+        const uint32_t row = fact_selection ? (*fact_selection)[i]
+                                            : static_cast<uint32_t>(i);
+        if (fk_nulls && fk.IsNull(row)) continue;
+        const uint32_t* dim_row = build.Find(static_cast<int64_t>(keys[row]));
+        if (dim_row != nullptr) {
+          out.fact_rows.push_back(row);
+          out.dim_rows.push_back(*dim_row);
+        }
       }
+    };
+    if (fk.type() == DataType::kInt64) {
+      probe(fk.int64_data().data());
+    } else {
+      probe(fk.int32_data().data());
     }
   };
 

@@ -2,53 +2,21 @@
 #define BLUSIM_RUNTIME_OPERATORS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "columnar/table.h"
 #include "common/status.h"
+#include "runtime/predicate.h"
 #include "runtime/thread_pool.h"
 
 namespace blusim::runtime {
 
-// Comparison operators for scan predicates.
-enum class CmpOp : uint8_t {
-  kEq = 0,
-  kNe,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kBetween,  // lo <= v <= hi
-};
-
-// One conjunct of a scan filter. Numeric comparisons use `lo`/`hi`
-// (BETWEEN uses both); string equality uses `str`.
-struct Predicate {
-  int column = -1;
-  CmpOp op = CmpOp::kEq;
-  double lo = 0.0;
-  double hi = 0.0;
-  std::string str;
-};
-
-// Evaluates the conjunction of `predicates` over `table` in parallel and
-// returns the selection vector of qualifying row ids (ascending).
+// Evaluates the conjunction of `predicates` over `table` in parallel, one
+// SelectRows call per morsel, and returns the selection vector of
+// qualifying row ids (ascending).
 Result<std::vector<uint32_t>> FilterScan(
     const columnar::Table& table, const std::vector<Predicate>& predicates,
     ThreadPool* pool);
-
-// Row-at-a-time predicate conjunction, shared by FilterScan and the fused
-// staging sweep (which evaluates the filter during the pinned-buffer copy
-// instead of materializing a selection vector first). Column indices must
-// be valid -- see ValidatePredicates.
-bool RowMatchesPredicates(const columnar::Table& table,
-                          const std::vector<Predicate>& predicates,
-                          uint32_t row);
-
-// Checks every predicate's column index against the table's schema.
-Status ValidatePredicates(const columnar::Table& table,
-                          const std::vector<Predicate>& predicates);
 
 // Equi-join spec: fact.fk_column == dim.pk_column. The probe side is the
 // fact table (optionally pre-filtered via `fact_selection`), the build side

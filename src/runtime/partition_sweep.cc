@@ -14,6 +14,29 @@ namespace {
 // ratio is the reduction a morsel's local table would see.
 constexpr uint64_t kSweepMorselRows = 65536;
 constexpr uint64_t kSampleRows = 65536;
+// The full-pass sketch's morsels: smaller than the sweep's, so a selection
+// of a few morsels still spreads over the pool (the estimate does not
+// depend on them).
+constexpr uint64_t kSketchMorselRows = 16384;
+
+// Hashes the keys of the input positions of `range` (through the selection
+// `rows`, nullptr = row ids) a cache-sized block at a time with the plan's
+// key kernel, and calls f(first position, hashes, count) per block.
+template <typename F>
+void ForEachHashBlock(const GroupByPlan& plan, const uint32_t* rows,
+                      MorselRange range, F&& f) {
+  constexpr uint64_t kBlockRows = 4096;
+  uint64_t hashes[kBlockRows];
+  for (uint64_t begin = range.begin; begin < range.end; begin += kBlockRows) {
+    const MorselRange block{begin, std::min(begin + kBlockRows, range.end)};
+    plan.HashKeys(rows, block, hashes);
+    f(begin, hashes, block.size());
+  }
+}
+
+const uint32_t* RowsOf(const std::vector<uint32_t>* selection) {
+  return selection != nullptr ? selection->data() : nullptr;
+}
 
 }  // namespace
 
@@ -28,15 +51,46 @@ KeySample SampleKeys(const GroupByPlan& plan,
                      uint32_t hash_partitions) {
   const uint64_t total_rows =
       selection != nullptr ? selection->size() : plan.table().num_rows();
-  KmvSketch sketch(256);
-  KeySample sample;
   const uint64_t stride = std::max<uint64_t>(1, total_rows / kSampleRows);
+  std::vector<uint32_t> sampled;
+  sampled.reserve(total_rows / stride + 1);
   for (uint64_t i = 0; i < total_rows; i += stride) {
-    sketch.AddHash(plan.KeyHash(selection != nullptr ? (*selection)[i] : i));
-    ++sample.rows;
+    sampled.push_back(selection != nullptr ? (*selection)[i]
+                                           : static_cast<uint32_t>(i));
   }
+  KmvSketch sketch(256);
+  ForEachHashBlock(plan, sampled.data(), MorselRange{0, sampled.size()},
+                   [&](uint64_t, const uint64_t* hashes, uint64_t n) {
+                     sketch.AddHashes(hashes, n);
+                   });
+  KeySample sample;
+  sample.rows = sampled.size();
   sample.distinct = sketch.Estimate(hash_partitions);
   return sample;
+}
+
+uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
+                           const std::vector<uint32_t>* selection, size_t k) {
+  const uint64_t total_rows =
+      selection != nullptr ? selection->size() : plan.table().num_rows();
+  const uint64_t num_morsels = NumMorsels(total_rows, kSketchMorselRows);
+  std::vector<KmvSketch> sketches(num_morsels, KmvSketch(k));
+  auto sketch_morsel = [&](uint64_t m) {
+    KmvSketch& sketch = sketches[m];
+    ForEachHashBlock(plan, RowsOf(selection),
+                     GetMorsel(total_rows, kSketchMorselRows, m),
+                     [&](uint64_t, const uint64_t* hashes, uint64_t n) {
+                       sketch.AddHashes(hashes, n);
+                     });
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(num_morsels, sketch_morsel);
+  } else {
+    for (uint64_t m = 0; m < num_morsels; ++m) sketch_morsel(m);
+  }
+  KmvSketch merged(k);
+  for (const KmvSketch& sketch : sketches) merged.Merge(sketch);
+  return merged.Estimate();
 }
 
 std::vector<std::vector<uint32_t>> PartitionRows(
@@ -50,13 +104,19 @@ std::vector<std::vector<uint32_t>> PartitionRows(
   auto sweep_morsel = [&](uint64_t m) {
     const MorselRange r = GetMorsel(total_rows, kSweepMorselRows, m);
     std::vector<std::vector<uint32_t>> buckets(num_partitions);
-    for (uint64_t i = r.begin; i < r.end; ++i) {
-      const uint32_t row = selection != nullptr ? (*selection)[i]
-                                                : static_cast<uint32_t>(i);
-      buckets[HashPartition(plan.KeyHash(row) * hash_partitions,
-                            num_partitions)]
-          .push_back(row);
-    }
+    ForEachHashBlock(
+        plan, RowsOf(selection), r,
+        [&](uint64_t begin, const uint64_t* hashes, uint64_t n) {
+          for (uint64_t j = 0; j < n; ++j) {
+            const uint64_t i = begin + j;
+            const uint32_t row = selection != nullptr
+                                     ? (*selection)[i]
+                                     : static_cast<uint32_t>(i);
+            buckets[HashPartition(hashes[j] * hash_partitions,
+                                  num_partitions)]
+                .push_back(row);
+          }
+        });
     morsel_buckets[m] = std::move(buckets);
   };
   if (pool != nullptr) {

@@ -29,9 +29,18 @@ KeySample SampleKeys(const GroupByPlan& plan,
                      const std::vector<uint32_t>* selection,
                      uint32_t hash_partitions = 1);
 
+// The full-pass group-count estimate: every selected key's hash fed to a
+// KMV sketch of size `k`, one sketch per morsel on `pool` (nullptr =
+// serial), merged afterwards. A merged sketch keeps the k smallest distinct
+// hashes in any merge order, so the estimate is the serial one.
+// `selection` nullptr = all rows.
+uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
+                           const std::vector<uint32_t>* selection, size_t k);
+
 // The hash-partition sweep: scatters the selected row ids into
 // `num_partitions` (a power of two) lists by
-// HashPartition(plan.KeyHash(row) * hash_partitions, num_partitions).
+// HashPartition(hash * hash_partitions, num_partitions) of each row's key
+// hash (GroupByPlan::HashKeys).
 // Equal keys land in one list, so the lists are disjoint in group space
 // and their group sets merge by concatenation. Morsel-parallel on `pool`
 // (nullptr = serial); per-morsel buckets are concatenated in morsel order,

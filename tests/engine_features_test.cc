@@ -295,8 +295,8 @@ TEST_F(GroupByRecordTest, DeferredFusedSingleDeviceRun) {
                                    {"groupby-kernel", kGpuPhase, false}}));
   EXPECT_EQ(AnnotationKeys(p),
             (std::vector<std::string>{
-                "kmv_estimate", "groupby_path", "kernel", "fusion",
-                "bytes_h2d", "bytes_d2h", "bytes_staged_avoided",
+                "kmv_estimate", "kmv_wall_us", "groupby_path", "kernel",
+                "fusion", "bytes_h2d", "bytes_d2h", "bytes_staged_avoided",
                 "kernel_probes", "kernel_cas_failures", "kernel_lock_spins",
                 "actual_groups"}));
   EXPECT_EQ(Annotation(p, "fusion"), "on");
@@ -354,8 +354,10 @@ TEST_F(GroupByRecordTest, JoinedSingleDeviceRun) {
                                    {"join-dim", kCpuPhase, false},
                                    {"groupby-stage", kCpuPhase, false},
                                    {"groupby-kernel", kGpuPhase, false}}));
-  std::vector<std::string> keys = {"kmv_estimate", "groupby_path", "kernel",
-                                   "fusion",       "bytes_h2d",   "bytes_d2h"};
+  std::vector<std::string> keys = {"kmv_estimate", "kmv_wall_us",
+                                   "groupby_path", "kernel",
+                                   "fusion",       "bytes_h2d",
+                                   "bytes_d2h"};
   if (Annotation(p, "fusion") == "on") keys.push_back("bytes_staged_avoided");
   for (const char* key :
        {"kernel_probes", "kernel_cas_failures", "kernel_lock_spins",
@@ -383,9 +385,9 @@ TEST_F(GroupByRecordTest, NeverFitsWaitsThenRunsTheCpuChain) {
                                    {"scan", kCpuPhase, false},
                                    {"groupby-cpu", kCpuPhase, false}}));
   EXPECT_EQ(AnnotationKeys(p),
-            (std::vector<std::string>{"kmv_estimate", "groupby_path",
-                                      "groupby_fallback", "actual_groups",
-                                      "degraded"}));
+            (std::vector<std::string>{"kmv_estimate", "kmv_wall_us",
+                                      "groupby_path", "groupby_fallback",
+                                      "actual_groups", "degraded"}));
   EXPECT_EQ(Annotation(p, "groupby_path"), "GPU");
   EXPECT_EQ(Annotation(p, "groupby_fallback"), "cpu");
   EXPECT_EQ(Annotation(p, "degraded"), "true");
@@ -411,9 +413,9 @@ TEST_F(GroupByRecordTest, BudgetCapRunsTheCpuChainWithoutWaiting) {
             (std::vector<PhaseKey>{{"scan", kCpuPhase, false},
                                    {"groupby-cpu", kCpuPhase, false}}));
   EXPECT_EQ(AnnotationKeys(p),
-            (std::vector<std::string>{"kmv_estimate", "groupby_path",
-                                      "groupby_fallback", "actual_groups",
-                                      "degraded"}));
+            (std::vector<std::string>{"kmv_estimate", "kmv_wall_us",
+                                      "groupby_path", "groupby_fallback",
+                                      "actual_groups", "degraded"}));
   EXPECT_EQ(Annotation(p, "groupby_fallback"), "budget");
   EXPECT_EQ(r->table->num_rows(), 1000u);
   EXPECT_EQ(SpanArg(p, "groupby-cpu", "rows"), "50000");

@@ -11,7 +11,8 @@ struct Registry {
   int v = 0;
 };
 
-// A comment mentioning std::mutex must not trip the primitive check.
+// A comment mentioning std::mutex must not trip the primitive check, nor
+// one naming plan.PackKey(row) the per-row check.
 void Register(Registry* r) {
   r->GetCounter("blusim_fixture_ops_total");
   r->GetGauge("blusim_fixture_depth");

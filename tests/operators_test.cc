@@ -195,6 +195,11 @@ TEST(HashJoinTest, BadColumnsRejected) {
   EXPECT_FALSE(HashJoin(*fact, *dim, JoinSpec{0, 9}, nullptr, nullptr,
                         nullptr)
                    .ok());
+  // A non-integer key column is rejected, not read as an integer.
+  auto floats = HashJoin(*fact, *dim, JoinSpec{1, 0}, nullptr, nullptr,
+                         nullptr);
+  ASSERT_FALSE(floats.ok());
+  EXPECT_EQ(floats.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

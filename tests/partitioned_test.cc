@@ -284,10 +284,10 @@ TEST_F(PartitionedTest, EngineRecordsModeledUpgrade) {
   std::vector<std::string> keys;
   for (const auto& kv : p.trace.annotations) keys.push_back(kv.first);
   EXPECT_EQ(keys, (std::vector<std::string>{
-                      "kmv_estimate", "partitioned_upgrade", "groupby_path",
-                      "partitions", "cpu_split", "kernel_probes",
-                      "kernel_cas_failures", "kernel_lock_spins",
-                      "actual_groups"}));
+                      "kmv_estimate", "kmv_wall_us", "partitioned_upgrade",
+                      "groupby_path", "partitions", "cpu_split",
+                      "kernel_probes", "kernel_cas_failures",
+                      "kernel_lock_spins", "actual_groups"}));
   EXPECT_EQ(*p.trace.FindAnnotation("partitioned_upgrade"), "modeled");
   const uint64_t partitions =
       std::stoull(*p.trace.FindAnnotation("partitions"));
