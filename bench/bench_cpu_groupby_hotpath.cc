@@ -7,11 +7,14 @@
 // Emits BENCH_cpu_groupby.json with rows/sec for low-, few-hundred-, mid-
 // and high-cardinality keys at 1 thread and N threads, so the perf
 // trajectory of the CPU chain (which feeds the T1/T2/T3 routing decisions)
-// stays measurable. The few-hundred case sits between the HASH evaluator's
-// KMV k (256) and 2k, where most rows hash below a full sketch's root.
+// stays measurable. The few-hundred case is the shape of the bypass
+// workload's single-key intermediate group-bys (BDI-I23: 300 groups).
+// The current chain is handed the group-count estimate the way the router
+// hands it over: computed once per case (runtime::CountDistinctKeys),
+// outside the timed runs.
 //
-// Differential: each case's result (sorted key, SUM, COUNT rows) and KMV
-// estimate must equal the baseline's; the binary exits non-zero otherwise.
+// Differential: each case's result (sorted key, SUM, COUNT rows) must equal
+// the baseline's; the binary exits non-zero otherwise.
 //
 // Env knobs: BLUSIM_BENCH_ROWS (default 2000000), BLUSIM_BENCH_REPS
 // (default 3, best-of), BLUSIM_BENCH_THREADS (default hardware).
@@ -30,11 +33,11 @@
 
 #include "columnar/table.h"
 #include "common/hash.h"
-#include "common/kmv.h"
 #include "common/rng.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/evaluators.h"
 #include "runtime/group_result.h"
+#include "runtime/partition_sweep.h"
 
 namespace blusim::runtime {
 namespace {
@@ -68,7 +71,6 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
 
   std::mutex mu;
   std::unordered_map<uint64_t, GroupEntry, U64Hash> global;
-  KmvSketch global_kmv(256);
   Status first_error;
 
   auto process_morsel = [&](uint64_t m) {
@@ -98,7 +100,6 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
       }
     }
     std::lock_guard<std::mutex> lock(mu);
-    global_kmv.Merge(stride.kmv);
     for (auto& [key, entry] : local) {
       auto [git, inserted] = global.try_emplace(key, std::move(entry));
       if (!inserted) {
@@ -126,7 +127,6 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
   }
   GroupByOutput out;
   out.num_groups = groups.num_groups();
-  out.kmv_estimate = global_kmv.Estimate();
   BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroupsFlat(plan, groups));
   return out;
 }
@@ -225,9 +225,12 @@ int main() {
     CaseResult r;
     r.name = c.name;
     r.groups_target = c.groups;
+    const uint64_t estimate =
+        CountDistinctKeys(plan.value(), &pool, nullptr, /*k=*/512);
     {
       CpuGroupByStats stats;
-      auto out = CpuGroupBy::Execute(plan.value(), &pool, nullptr, &stats);
+      auto out = CpuGroupBy::Execute(plan.value(), &pool, nullptr, estimate,
+                                     &stats);
       auto legacy = LegacyCpuGroupBy(plan.value(), &pool);
       if (!out.ok() || !legacy.ok()) {
         std::fprintf(stderr, "%s\n",
@@ -236,26 +239,23 @@ int main() {
                          .c_str());
         return 1;
       }
-      if (SortedRows(*out->table) != SortedRows(*legacy->table) ||
-          out->kmv_estimate != legacy->kmv_estimate) {
+      if (SortedRows(*out->table) != SortedRows(*legacy->table)) {
         std::fprintf(stderr,
                      "%s: result differs from the baseline (groups %llu vs "
-                     "%llu, kmv %llu vs %llu)\n",
+                     "%llu)\n",
                      c.name,
                      static_cast<unsigned long long>(out->num_groups),
-                     static_cast<unsigned long long>(legacy->num_groups),
-                     static_cast<unsigned long long>(out->kmv_estimate),
-                     static_cast<unsigned long long>(legacy->kmv_estimate));
+                     static_cast<unsigned long long>(legacy->num_groups));
         return 1;
       }
       r.groups_actual = out->num_groups;
       r.strategy = CpuGroupByStrategyName(stats.strategy);
     }
     r.flat_t1 = MeasureRowsPerSec(rows, reps, [&] {
-      (void)CpuGroupBy::Execute(plan.value(), nullptr);
+      (void)CpuGroupBy::Execute(plan.value(), nullptr, nullptr, estimate);
     });
     r.flat_tn = MeasureRowsPerSec(rows, reps, [&] {
-      (void)CpuGroupBy::Execute(plan.value(), &pool);
+      (void)CpuGroupBy::Execute(plan.value(), &pool, nullptr, estimate);
     });
     r.legacy_t1 = MeasureRowsPerSec(rows, reps, [&] {
       (void)LegacyCpuGroupBy(plan.value(), nullptr);

@@ -35,6 +35,12 @@ actually built):
      two batch kernels (src/runtime/predicate.* and
      src/runtime/groupby_plan.*): every host sweep evaluates predicates
      and packs or hashes keys a batch at a time, column by column.
+  G. one group-count estimate -- KmvSketch may appear in src/ only in the
+     sketch itself (src/common/kmv.*) and the three places that estimate a
+     group count: the router's sample (src/core/engine.cc), the full-pass
+     estimate (src/runtime/partition_sweep.cc) and the device staging
+     sweep that sizes its table (src/groupby/staging.cc). A group-by that
+     needs a group count takes the router's; it does not sketch its own.
 
 Usage:
   scripts/blusim_lint.py [--root DIR] [--compile-commands JSON] [-q]
@@ -151,6 +157,17 @@ BATCH_KERNEL_FILES = {
     "src/runtime/predicate.cc",
     "src/runtime/groupby_plan.h",
     "src/runtime/groupby_plan.cc",
+}
+
+# --- check G: one group-count estimate ----------------------------------
+
+KMV_RE = re.compile(r"\bKmvSketch\b")
+ESTIMATE_FILES = {
+    "src/common/kmv.h",
+    "src/common/kmv.cc",
+    "src/core/engine.cc",
+    "src/runtime/partition_sweep.cc",
+    "src/groupby/staging.cc",
 }
 
 
@@ -446,6 +463,23 @@ def check_per_row(root, files):
     return findings
 
 
+def check_estimate(root, files):
+    findings = []
+    for rel in files:
+        if rel.replace(os.sep, "/") in ESTIMATE_FILES:
+            continue
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            text = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if KMV_RE.search(line):
+                findings.append(Finding(
+                    "estimate", rel, lineno,
+                    "KmvSketch outside the group-count estimators; take the "
+                    "router's estimate (or runtime::CountDistinctKeys) "
+                    "instead of sketching the keys again"))
+    return findings
+
+
 def check_compile_db(root, files, db_path):
     """Every src/ .cc must be in the compile database: a file that is not
     built is a file none of the compiler-enforced checks ever saw."""
@@ -482,7 +516,8 @@ def run_checks(root, db_path=None, checks=None):
     files = list(iter_source_files(root))
     findings = []
     enabled = checks or ("layering", "metrics", "primitives",
-                         "nondeterminism", "price", "perrow", "compiledb")
+                         "nondeterminism", "price", "perrow", "estimate",
+                         "compiledb")
     if "layering" in enabled:
         findings += check_layering(root, files)
     if "metrics" in enabled:
@@ -495,6 +530,8 @@ def run_checks(root, db_path=None, checks=None):
         findings += check_price(root, files)
     if "perrow" in enabled:
         findings += check_per_row(root, files)
+    if "estimate" in enabled:
+        findings += check_estimate(root, files)
     if "compiledb" in enabled and db_path:
         findings += check_compile_db(root, files, db_path)
     return findings

@@ -265,6 +265,17 @@ Engine::Instruments::Instruments(obs::MetricsRegistry* m) {
       "blusim_queries_degraded_total", {},
       "Queries that re-routed a GPU-routed phase to the CPU after routing "
       "(budget, denial, or device failure)");
+  for (const int side : {kGpuSide, kCpuSide}) {
+    sort_jobs[side] = m->GetCounter(
+        "blusim_sort_jobs_total", {{"path", side == kGpuSide ? "gpu" : "cpu"}},
+        "Hybrid-sort jobs drained from the queue by path");
+  }
+  sort_gpu_fallbacks = m->GetCounter(
+      "blusim_sort_gpu_fallbacks_total", {},
+      "GPU-eligible sort jobs that ran on the CPU instead");
+  sort_staging_reuses = m->GetCounter(
+      "blusim_sort_staging_reuses_total", {},
+      "GPU sort jobs served from a worker's cached pinned staging buffer");
   for (const char* shape : kQueryShapeNames) {
     query_elapsed[shape] = m->GetHistogram(
         "blusim_query_elapsed_us", {{"class", shape}},
@@ -492,8 +503,8 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   BLUSIM_RETURN_NOT_OK(materialize_selection());
   const WallTimer timer;
   runtime::CpuGroupByStats cpu_stats;
-  auto cpu_out =
-      runtime::CpuGroupBy::Execute(plan, &pool_, selection, &cpu_stats);
+  auto cpu_out = runtime::CpuGroupBy::Execute(plan, &pool_, selection,
+                                              estimates.groups, &cpu_stats);
   BLUSIM_RETURN_NOT_OK(cpu_out.status());
   trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
 
@@ -861,7 +872,6 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       options.num_workers = config_.sort_workers;
       options.pool = &pool_;
       options.trace = &trace;
-      options.metrics = &metrics_;
       bool gpu_possible = false;
       if (path == ExecutionPath::kGpu) {
         // Job-level placement: the hybrid sorter asks the scheduler for a
@@ -881,6 +891,10 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
       BLUSIM_ASSIGN_OR_RETURN(
           std::vector<uint32_t> perm,
           sort::HybridSorter::Sort(*base, query.order_by, options, &stats));
+      instruments_.sort_jobs[kGpuSide]->Add(stats.jobs_gpu);
+      instruments_.sort_jobs[kCpuSide]->Add(stats.jobs_cpu);
+      instruments_.sort_gpu_fallbacks->Add(stats.gpu_fallbacks);
+      instruments_.sort_staging_reuses->Add(stats.staging_reuses);
       if (query.limit > 0 && perm.size() > query.limit) {
         perm.resize(query.limit);  // the phases below charge every row
       }

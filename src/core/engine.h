@@ -226,6 +226,12 @@ class Engine {
     obs::Histogram* partitioned_cpu_split = nullptr;
     obs::Counter* queries[2] = {};  // by gpu_used
     obs::Counter* queries_degraded = nullptr;
+    // Hybrid-sort jobs by draining side (cpu, gpu), GPU-eligible jobs that
+    // ran on the CPU, and jobs served from a cached staging buffer; added
+    // from each sort's HybridSortStats.
+    obs::Counter* sort_jobs[2] = {};  // by side: gpu, cpu
+    obs::Counter* sort_gpu_fallbacks = nullptr;
+    obs::Counter* sort_staging_reuses = nullptr;
     // By QueryShapeName.
     std::map<std::string_view, obs::Histogram*> query_elapsed;
   };

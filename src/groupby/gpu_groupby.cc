@@ -209,7 +209,6 @@ Result<GroupByOutput> GpuGroupBy::Execute(
                       /*hash_partitions=*/1, options, stats));
   GroupByOutput out;
   out.num_groups = groups.num_groups();
-  out.kmv_estimate = groups.kmv_estimate;
   BLUSIM_ASSIGN_OR_RETURN(out.table,
                           runtime::MaterializeGroupsFlat(plan, groups));
   return out;
@@ -354,11 +353,8 @@ Result<runtime::FlatGroups> GpuGroupBy::ExecuteToGroups(
         table, host_table.data(), host_table.size(), /*pinned=*/true);
     stats->bytes_out = host_table.size();
 
-    runtime::FlatGroups out =
-        ScanTable(plan, layout, host_table.data(), capacity,
-                  staged.fused ? &staged.host_row_ids : nullptr);
-    out.kmv_estimate = staged.kmv_estimate;
-    return out;
+    return ScanTable(plan, layout, host_table.data(), capacity,
+                     staged.fused ? &staged.host_row_ids : nullptr);
   }
   return Status::Internal("unreachable: retry loop exited");
 }

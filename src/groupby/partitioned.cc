@@ -193,7 +193,6 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     stats->gpu_lane_time = c.wait_time + c.gpu.total() - c.gpu.stage_time;
     GroupByOutput out;
     out.num_groups = c.groups;
-    out.kmv_estimate = slot.groups.kmv_estimate;
     BLUSIM_ASSIGN_OR_RETURN(out.table,
                             runtime::MaterializeGroupsFlat(plan, slot.groups));
     return out;
@@ -211,12 +210,12 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   }
   const size_t num_slots = plan.slots().size();
 
-  // Group-count estimate: the optimizer's if present, else a coarse KMV
-  // over a stride of the selection keys.
+  // Group-count estimate: the optimizer's if present, else the router's
+  // own estimator over the selection.
   uint64_t estimated_groups = options.gpu.estimated_groups;
   if (estimated_groups == 0) {
     estimated_groups = std::max<uint64_t>(
-        1, runtime::SampleKeys(plan, selection).distinct);
+        1, runtime::CountDistinctKeys(plan, thread_pool, selection, 512));
   }
 
   // Smallest device bounds the chunk size (heterogeneous devices allowed).
@@ -318,14 +317,19 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     return queue.abort;
   };
 
+  // Each partition's share of the estimate, for either lane.
+  const uint64_t partition_groups =
+      std::max<uint64_t>(1, estimated_groups / num_partitions);
+
   // CPU-chain execution of one partition; callable concurrently (the pool
   // supports concurrent ParallelFor callers).
   auto run_cpu = [&](uint32_t p, PartitionSlot* slot) -> Status {
     const WallTimer timer;
     const std::vector<uint32_t>& sel = partitions[p];
-    BLUSIM_ASSIGN_OR_RETURN(
-        slot->groups, runtime::CpuGroupBy::ExecuteToFlat(
-                          plan, thread_pool, &sel, num_partitions));
+    BLUSIM_ASSIGN_OR_RETURN(slot->groups,
+                            runtime::CpuGroupBy::ExecuteToFlat(
+                                plan, thread_pool, &sel, num_partitions,
+                                partition_groups));
     slot->chunk.groups = slot->groups.num_groups();
     slot->chunk.cpu_time = CpuChainTime(
         cost, sel.size(), std::max<uint64_t>(1, slot->chunk.groups), num_slots,
@@ -339,8 +343,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   auto run_device = [&](uint32_t p, PartitionSlot* slot) -> Status {
     GpuGroupByOptions gopts = options.gpu;
     gopts.estimated_rows = partitions[p].size();
-    gopts.estimated_groups =
-        std::max<uint64_t>(1, estimated_groups / num_partitions);
+    gopts.estimated_groups = partition_groups;
     return RunDeviceChunk(plan, scheduler, pinned_pool, thread_pool, mode,
                           &partitions[p], num_partitions, gopts, options.wait,
                           slot);
@@ -447,7 +450,6 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     PartitionSlot& slot = slots[p];
     if (!slot.used) continue;
     out.num_groups += slot.chunk.groups;
-    out.kmv_estimate += slot.groups.kmv_estimate;
     pieces.push_back(std::move(slot.groups));
     AddChunk(slot, stats);
   }

@@ -153,8 +153,12 @@ Result<StagedInput> StageSoA(const GroupByPlan& plan,
       }
     }
 
+    // KMV: the morsel's hashes feed the sketch that sizes the device
+    // table (section 4.2), in this sweep as in the fused one.
+    KmvSketch kmv(256);
+    kmv.AddHashes(stride.hashes.data(), rows);
     common::MutexLock lock(&shared.mu);
-    shared.kmv.Merge(stride.kmv);
+    shared.kmv.Merge(kmv);
   };
 
   if (pool != nullptr) {
@@ -245,9 +249,9 @@ Result<StagedInput> StageFusedRecords(const GroupByPlan& plan,
     std::vector<uint64_t> keys(count);
     plan.PackKeys(ids.data(), runtime::MorselRange{0, count}, keys.data());
     std::vector<char> scratch(count * stride_bytes);
-    // Same hashes the HASH evaluator feeds its sketch, so fused and
-    // unfused staging report identical group estimates for identical
-    // survivor sets.
+    // Same hashes the HASH evaluator computes for SoA staging's sketch, so
+    // fused and unfused staging report identical group estimates for
+    // identical survivor sets.
     std::vector<uint64_t> hashes(count);
     uint64_t sentinel_seen = 0;
     for (uint64_t i = 0; i < count; ++i) {

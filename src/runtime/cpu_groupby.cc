@@ -1,6 +1,7 @@
 #include "runtime/cpu_groupby.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/annotations.h"
@@ -15,38 +16,39 @@ namespace blusim::runtime {
 
 namespace {
 
-// Small mutex: KMV merge and first-error tracking only. Group aggregation
-// and merging never take it.
+// Small mutex: first-error tracking only. Group aggregation and merging
+// never take it.
 struct SharedScanState {
   common::Mutex mu{"runtime.CpuGroupBy.scan_mu", common::LockRank::kRuntime};
-  KmvSketch global_kmv GUARDED_BY(mu) = KmvSketch(256);
   Status first_error GUARDED_BY(mu);
 
   void Fail(const Status& st) {
     common::MutexLock lock(&mu);
     if (first_error.ok()) first_error = st;
   }
-  void MergeKmv(const KmvSketch& kmv) {
+  // Call after the workers' barrier.
+  Status Finish() {
     common::MutexLock lock(&mu);
-    global_kmv.Merge(kmv);
-  }
-  // Call after the workers' barrier: the first error, else the merged KMV
-  // estimate of a selection that is one HashPartition range of
-  // `hash_partitions`.
-  Result<uint64_t> Finish(uint32_t hash_partitions) {
-    common::MutexLock lock(&mu);
-    BLUSIM_RETURN_NOT_OK(first_error);
-    return global_kmv.Estimate(hash_partitions);
+    return first_error;
   }
 };
 
-// A table size for one processed stride: its KMV estimate (the same signal
-// the GPU path sizes its device table with, section 4.2), clamped by its
-// row count. Its key hashes share the top bits of `hash_partitions`.
-uint64_t ExpectedGroups(const Stride& stride, uint32_t hash_partitions) {
+// Expected distinct keys among `sample` rows drawn uniformly from `rows`
+// rows that hold `groups` equally frequent keys: a key's rows / groups
+// copies all miss the sample with probability (1 - sample/rows)^(rows /
+// groups).
+double ExpectedDistinct(uint64_t groups, uint64_t rows, uint64_t sample) {
+  if (groups == 0 || rows == 0) return 0.0;
+  const double g = static_cast<double>(groups);
+  const double n = static_cast<double>(rows);
+  const double f = std::min(1.0, static_cast<double>(sample) / n);
+  return -g * std::expm1(n / g * std::log1p(-f));
+}
+
+// A table size for `rows` input rows expected to hold `groups` groups.
+uint64_t TableSize(double groups, uint64_t rows) {
   return std::min<uint64_t>(
-      stride.num_rows(),
-      std::max<uint64_t>(stride.kmv.Estimate(hash_partitions), 16));
+      rows, std::max<uint64_t>(16, static_cast<uint64_t>(std::ceil(groups))));
 }
 
 // LGHT + AGGD/SUM/CNT: groups a processed stride's rows into `table`, with
@@ -70,10 +72,7 @@ void AggregateStride(const GroupByPlan& plan, const Stride& stride,
 // The groups of one execution as pieces that are disjoint in group space
 // (one per merge shard or partition), in output order: appending them is
 // the whole merge.
-struct GroupPieces {
-  std::vector<FlatGroups> pieces;
-  uint64_t kmv_estimate = 0;
-};
+using GroupPieces = std::vector<FlatGroups>;
 
 // Moves each table's groups out as one piece, in order.
 template <typename Key>
@@ -101,11 +100,12 @@ struct MorselPartial {
 };
 
 // The local strategy: per-morsel tables, then a per-shard merge.
+// `groups` is the selection's group-count estimate.
 template <typename Key, typename GetKey>
 Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
                             const std::vector<uint32_t>* selection,
-                            uint32_t hash_partitions, GetKey get_key,
-                            CpuGroupByStats* stats) {
+                            uint32_t hash_partitions, uint64_t groups,
+                            GetKey get_key, CpuGroupByStats* stats) {
   const uint64_t total_rows =
       selection ? selection->size() : plan.table().num_rows();
   const uint64_t num_morsels =
@@ -140,10 +140,13 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
       return;
     }
 
-    // LGHT: local grouping, sized from this stride's KMV estimate; the
-    // table grows-and-rehashes if the estimate was low.
+    // LGHT: local grouping, sized for the groups a morsel of this many
+    // rows is expected to hold; the table grows-and-rehashes if the
+    // estimate was low.
+    const uint64_t rows = stride.num_rows();
     auto partial = std::make_unique<MorselPartial<Key>>(
-        &plan, ExpectedGroups(stride, hash_partitions), shards);
+        &plan, TableSize(ExpectedDistinct(groups, total_rows, rows), rows),
+        shards);
     FlatAggTable<Key>& local = partial->table;
     AggregateStride(plan, stride, get_key, &local);
 
@@ -157,7 +160,6 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
       }
     }
     partials[m] = std::move(partial);
-    shared.MergeKmv(stride.kmv);
   };
 
   if (pool != nullptr) {
@@ -166,8 +168,7 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
     for (uint64_t m = 0; m < num_morsels; ++m) process_morsel(m);
   }
   // ParallelFor is a barrier: every worker is done.
-  BLUSIM_ASSIGN_OR_RETURN(const uint64_t kmv_estimate,
-                          shared.Finish(hash_partitions));
+  BLUSIM_RETURN_NOT_OK(shared.Finish());
 
   if (stats != nullptr) {
     stats->partitions = 1;
@@ -179,14 +180,12 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
     }
   }
 
-  GroupPieces out;
-  out.kmv_estimate = kmv_estimate;
-
   // Single morsel: its local table already is the global result.
   if (num_morsels == 1) {
     FlatAggTable<Key>& only = partials[0]->table;
     if (stats != nullptr) stats->nonempty_merge_shards = only.num_groups() > 0;
-    out.pieces.push_back(std::move(only).TakeGroups());
+    GroupPieces out;
+    out.push_back(std::move(only).TakeGroups());
     return out;
   }
 
@@ -202,13 +201,13 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
       shard_sum += c;
       largest = std::max(largest, c);
     }
-    // Size from the global KMV estimate split across shards, never below
-    // the largest single contribution, and never above the exact count of
-    // partial entries this shard will see (which caps degenerate KMV
-    // estimates — e.g. adversarially sequential hash values).
+    // Size from the estimate split across shards, never below the largest
+    // single contribution, and never above the exact count of partial
+    // entries this shard will see (which caps an overestimate, and a
+    // skewed split such as adversarially sequential hash values).
     auto table = std::make_unique<FlatAggTable<Key>>(
-        &plan, std::min(shard_sum,
-                        std::max<uint64_t>(kmv_estimate / shards, largest)));
+        &plan,
+        std::min(shard_sum, std::max<uint64_t>(groups / shards, largest)));
     for (const auto& partial : partials) {
       const FlatAggTable<Key>& src = partial->table;
       for (uint32_t g : partial->shard_groups[p]) {
@@ -236,8 +235,7 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
       stats->nonempty_merge_shards += t->num_groups() > 0;
     }
   }
-  out.pieces = TakePieces(&shard_tables);
-  return out;
+  return TakePieces(&shard_tables);
 }
 
 // The partition-first strategy: one sweep scatters the row ids into
@@ -245,18 +243,19 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
 // one table. Equal keys share a partition, so its groups are final: no
 // local duplicate, no merge. The tables are the pieces, in partition
 // order, and each partition's rows stay in selection order, so the result
-// (float sums included) does not depend on the thread count.
+// (float sums included) does not depend on the thread count. Each table is
+// sized for its share of the `groups` estimate.
 template <typename Key, typename GetKey>
 Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
                                      ThreadPool* pool,
                                      const std::vector<uint32_t>* selection,
                                      uint32_t hash_partitions,
-                                     uint32_t num_partitions, GetKey get_key,
-                                     CpuGroupByStats* stats) {
+                                     uint32_t num_partitions, uint64_t groups,
+                                     GetKey get_key, CpuGroupByStats* stats) {
   const std::vector<std::vector<uint32_t>> partitions = PartitionRows(
       plan, pool, selection, hash_partitions, num_partitions);
-  // A partition's key hashes share the top bits of both fan-outs.
-  const uint32_t range_partitions = hash_partitions * num_partitions;
+  const double partition_groups =
+      static_cast<double>(groups) / static_cast<double>(num_partitions);
 
   GroupByChain chain(&plan);
   SharedScanState shared;
@@ -273,10 +272,9 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
       return;
     }
     auto table = std::make_unique<FlatAggTable<Key>>(
-        &plan, ExpectedGroups(stride, range_partitions));
+        &plan, TableSize(partition_groups, rows.size()));
     AggregateStride(plan, stride, get_key, table.get());
     tables[p] = std::move(table);
-    shared.MergeKmv(stride.kmv);
   };
   if (pool != nullptr) {
     pool->ParallelFor(num_partitions, process_partition);
@@ -284,8 +282,7 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
     for (uint32_t p = 0; p < num_partitions; ++p) process_partition(p);
   }
 
-  GroupPieces out;
-  BLUSIM_ASSIGN_OR_RETURN(out.kmv_estimate, shared.Finish(hash_partitions));
+  BLUSIM_RETURN_NOT_OK(shared.Finish());
   if (stats != nullptr) {
     stats->strategy = CpuGroupByStrategy::kPartition;
     stats->partitions = num_partitions;
@@ -296,48 +293,51 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
       stats->local_rehashes += t->rehash_count();
     }
   }
-  out.pieces = TakePieces(&tables);
-  return out;
+  return TakePieces(&tables);
 }
 
-// Picks the strategy from a strided sample of the keys: partition first
-// when a morsel's local table would hold nearly one group per row. A
-// one-morsel input has no merge to skip and stays local.
+// Runs the strategy ChooseStrategy picks for the selection's group count:
+// the caller's estimate, else the router's full-pass one.
 template <typename Key, typename GetKey>
 Result<GroupPieces> Run(const GroupByPlan& plan, ThreadPool* pool,
                         const std::vector<uint32_t>* selection,
-                        uint32_t hash_partitions, GetKey get_key,
-                        CpuGroupByStats* stats) {
+                        uint32_t hash_partitions, uint64_t estimated_groups,
+                        GetKey get_key, CpuGroupByStats* stats) {
   const uint64_t total_rows =
       selection ? selection->size() : plan.table().num_rows();
-  if (NumMorsels(total_rows, CpuGroupBy::kMorselRows) > 1 &&
-      SampleKeys(plan, selection, hash_partitions).DistinctPerRow() >
-          CpuGroupBy::kPartitionMinDistinctPerRow) {
+  const uint64_t groups =
+      estimated_groups > 0
+          ? estimated_groups
+          : CountDistinctKeys(plan, pool, selection, /*k=*/512,
+                              hash_partitions);
+  if (CpuGroupBy::ChooseStrategy(total_rows, groups) ==
+      CpuGroupByStrategy::kPartition) {
     const auto num_partitions = static_cast<uint32_t>(std::min<uint64_t>(
         CpuGroupBy::kMaxPartitions,
         NextPow2(CeilDiv(total_rows, CpuGroupBy::kPartitionRows))));
     return RunPartitionFirst<Key>(plan, pool, selection, hash_partitions,
-                                  num_partitions, get_key, stats);
+                                  num_partitions, groups, get_key, stats);
   }
-  return RunLocal<Key>(plan, pool, selection, hash_partitions, get_key,
-                       stats);
+  return RunLocal<Key>(plan, pool, selection, hash_partitions, groups,
+                       get_key, stats);
 }
 
 // Runs the chain for the plan's key shape.
 Result<GroupPieces> RunChain(const GroupByPlan& plan, ThreadPool* pool,
                              const std::vector<uint32_t>* selection,
                              uint32_t hash_partitions,
+                             uint64_t estimated_groups,
                              CpuGroupByStats* stats) {
   if (plan.wide_key()) {
     return Run<WideKey>(
-        plan, pool, selection, hash_partitions,
+        plan, pool, selection, hash_partitions, estimated_groups,
         [](const Stride& s, uint64_t i) -> const WideKey& {
           return s.wide_keys[i];
         },
         stats);
   }
   return Run<uint64_t>(
-      plan, pool, selection, hash_partitions,
+      plan, pool, selection, hash_partitions, estimated_groups,
       [](const Stride& s, uint64_t i) { return s.packed_keys[i]; }, stats);
 }
 
@@ -351,24 +351,30 @@ const char* CpuGroupByStrategyName(CpuGroupByStrategy strategy) {
   return "?";
 }
 
+CpuGroupByStrategy CpuGroupBy::ChooseStrategy(uint64_t rows,
+                                              uint64_t groups) {
+  if (NumMorsels(rows, kMorselRows) <= 1) return CpuGroupByStrategy::kLocal;
+  const double per_row =
+      ExpectedDistinct(std::min(groups, rows), rows, kMorselRows) /
+      static_cast<double>(kMorselRows);
+  return per_row > kPartitionMinDistinctPerRow ? CpuGroupByStrategy::kPartition
+                                               : CpuGroupByStrategy::kLocal;
+}
+
 Result<FlatGroups> CpuGroupBy::ExecuteToFlat(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, uint32_t hash_partitions,
-    CpuGroupByStats* stats) {
-  BLUSIM_ASSIGN_OR_RETURN(
-      GroupPieces groups,
-      RunChain(plan, pool, selection, hash_partitions, stats));
+    uint64_t estimated_groups, CpuGroupByStats* stats) {
+  BLUSIM_ASSIGN_OR_RETURN(GroupPieces pieces,
+                          RunChain(plan, pool, selection, hash_partitions,
+                                   estimated_groups, stats));
+  if (pieces.size() == 1) return std::move(pieces.front());
   FlatGroups out;
-  if (groups.pieces.size() == 1) out = std::move(groups.pieces.front());
-  out.kmv_estimate = groups.kmv_estimate;
-  if (groups.pieces.size() <= 1) return out;
   uint64_t total_groups = 0;
-  for (const FlatGroups& piece : groups.pieces) {
-    total_groups += piece.num_groups();
-  }
+  for (const FlatGroups& piece : pieces) total_groups += piece.num_groups();
   out.rep_rows.reserve(total_groups);
   out.accs.reserve(total_groups * plan.slots().size());
-  for (const FlatGroups& piece : groups.pieces) {
+  for (const FlatGroups& piece : pieces) {
     out.rep_rows.insert(out.rep_rows.end(), piece.rep_rows.begin(),
                         piece.rep_rows.end());
     out.accs.insert(out.accs.end(), piece.accs.begin(), piece.accs.end());
@@ -378,18 +384,17 @@ Result<FlatGroups> CpuGroupBy::ExecuteToFlat(
 
 Result<GroupByOutput> CpuGroupBy::Execute(
     const GroupByPlan& plan, ThreadPool* pool,
-    const std::vector<uint32_t>* selection, CpuGroupByStats* stats) {
+    const std::vector<uint32_t>* selection, uint64_t estimated_groups,
+    CpuGroupByStats* stats) {
   // The pieces are materialized as they stand: no concatenated copy.
-  BLUSIM_ASSIGN_OR_RETURN(
-      GroupPieces groups,
-      RunChain(plan, pool, selection, /*hash_partitions=*/1, stats));
+  BLUSIM_ASSIGN_OR_RETURN(GroupPieces pieces,
+                          RunChain(plan, pool, selection,
+                                   /*hash_partitions=*/1, estimated_groups,
+                                   stats));
   GroupByOutput out;
-  for (const FlatGroups& piece : groups.pieces) {
-    out.num_groups += piece.num_groups();
-  }
-  out.kmv_estimate = groups.kmv_estimate;
+  for (const FlatGroups& piece : pieces) out.num_groups += piece.num_groups();
   BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          MaterializeGroupsFlat(plan, groups.pieces, pool));
+                          MaterializeGroupsFlat(plan, pieces, pool));
   return out;
 }
 

@@ -17,9 +17,6 @@ namespace blusim::runtime {
 struct GroupByOutput {
   std::shared_ptr<columnar::Table> table;
   uint64_t num_groups = 0;
-  // KMV estimate observed during the HASH stage (what the GPU path would
-  // have sized its hash table with).
-  uint64_t kmv_estimate = 0;
 };
 
 // How a CpuGroupBy execution grouped its rows (CpuGroupBy::ExecuteToFlat).
@@ -47,7 +44,7 @@ struct CpuGroupByStats {
   // per-morsel local tables (kLocal) or per-partition tables (kPartition,
   // whose groups are final, so this is the result's group count).
   uint64_t partial_groups = 0;
-  // Grow-and-rehash events in those tables (KMV undersized them).
+  // Grow-and-rehash events in those tables (the estimate undersized them).
   uint64_t local_rehashes = 0;
   // Grow-and-rehash events in the shard merge tables.
   uint64_t merge_rehashes = 0;
@@ -55,50 +52,61 @@ struct CpuGroupByStats {
 
 // The original DB2 BLU CPU group-by chain (paper figure 1): parallel
 // threads run LCOG/LCOV -> CCAT -> HASH -> LGHT (local flat open-addressing
-// tables with AGGD/SUM/CNT applied inline). How the rows reach those tables
-// depends on a strided sample of the keys (runtime::SampleKeys):
+// tables with AGGD/SUM/CNT applied inline). One group-count estimate, the
+// caller's, picks how the rows reach those tables (ChooseStrategy) and
+// sizes every table; a low estimate costs grow-and-rehash events, never a
+// different result:
 //
 // - kLocal: each morsel aggregates into its own table, then the local
 //   results are merged in two lock-free phases: each worker scatters its
 //   groups into merge shards by the top bits of the key hash, and a second
 //   ParallelFor merges each shard independently. Right when a morsel's
 //   table shrinks its rows (low and mid cardinality).
-// - kPartition: when nearly every sampled key is distinct, local tables
-//   would copy each group twice more for nothing. One sweep scatters the
-//   row ids into cache-sized hash partitions (runtime::PartitionRows), and
-//   each partition runs the chain into one table whose groups are final;
-//   the tables are concatenated in partition order.
+// - kPartition: when nearly every key of a morsel would be distinct, local
+//   tables would copy each group twice more for nothing. One sweep scatters
+//   the row ids into cache-sized hash partitions (runtime::PartitionRows),
+//   and each partition runs the chain into one table whose groups are
+//   final; the tables are concatenated in partition order.
 //
 // Either way the result is deterministic run-to-run, serial or parallel.
-// Only KMV merging and first-error tracking share a mutex.
+// Only first-error tracking shares a mutex.
 class CpuGroupBy {
  public:
   // `selection`: optional filtered/joined row-id list; nullptr = all rows.
+  // `estimated_groups`: the optimizer's group-count estimate for the
+  // selection; 0 = the caller has none, and the chain counts the keys
+  // itself first (runtime::CountDistinctKeys, the router's estimator).
   static Result<GroupByOutput> Execute(
       const GroupByPlan& plan, ThreadPool* pool,
       const std::vector<uint32_t>* selection = nullptr,
-      CpuGroupByStats* stats = nullptr);
+      uint64_t estimated_groups = 0, CpuGroupByStats* stats = nullptr);
 
   // Same chain, but stops before materialization and hands back the flat
   // groups. Safe to call from several threads at once (ParallelFor supports
   // concurrent callers); the partitioned group-by runs one call per
-  // CPU-side partition. `hash_partitions` > 1 says the selection is one
-  // HashPartition range of that many: its key hashes share their top bits,
-  // so the KMV estimates and the merge shards use the bits below them.
+  // CPU-side partition, with the partition's share of its estimate.
+  // `hash_partitions` > 1 says the selection is one HashPartition range of
+  // that many: its key hashes share their top bits, so the merge shards
+  // and partitions (and an estimate of its own) use the bits below them.
   static Result<FlatGroups> ExecuteToFlat(
       const GroupByPlan& plan, ThreadPool* pool,
       const std::vector<uint32_t>* selection, uint32_t hash_partitions,
-      CpuGroupByStats* stats = nullptr);
+      uint64_t estimated_groups, CpuGroupByStats* stats = nullptr);
+
+  // The strategy for `rows` input rows holding `groups` keys: partition
+  // first when a uniform sample of one morsel's rows is expected to hold
+  // more than kPartitionMinDistinctPerRow distinct keys per row, over more
+  // than one morsel (a lone morsel has no merge to skip).
+  static CpuGroupByStrategy ChooseStrategy(uint64_t rows, uint64_t groups);
 
   // Morsel size used by the parallel chain.
   static constexpr uint64_t kMorselRows = 65536;
   // Upper bound on merge shards; enough to keep a large pool busy without
   // making tiny queries pay per-shard setup.
   static constexpr uint32_t kMaxMergeShards = 64;
-  // Partition-first strategy: taken when more than this share of the
-  // sampled keys is distinct, so a morsel's local table would hold nearly
-  // one group per row. A one-morsel sample of 65536 groups over many more
-  // rows reads about 0.63 and stays local.
+  // Partition-first strategy: taken when a morsel's local table would hold
+  // more than this many groups per row. 65536 groups over many more rows
+  // read about 0.63 and stay local.
   static constexpr double kPartitionMinDistinctPerRow = 0.8;
   // Rows per partition the sweep aims for: a partition's stride buffers and
   // its table (about 200 bytes a group at five aggregates) stay within a

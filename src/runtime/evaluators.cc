@@ -115,9 +115,6 @@ Status HashEvaluator::Process(Stride* stride) const {
       stride->hashes[i] = Mix64(stride->packed_keys[i]);
     }
   }
-  // Feed the KMV group-count estimator (section 4.2: "The HASH evaluator
-  // and KMV algorithm together ... estimate ... the number of groups").
-  stride->kmv.AddHashes(stride->hashes.data(), n);
   return Status::OK();
 }
 

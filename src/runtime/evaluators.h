@@ -52,8 +52,9 @@ class LoadPayloadsEvaluator : public Evaluator {
 };
 
 // HASH: hashes concatenated keys (mod/mix hash for narrow keys, Murmur for
-// wide keys) and feeds the per-stride KMV sketch used to estimate the
-// number of groups (section 4.2).
+// wide keys). The group count is estimated once, before the chain runs
+// (runtime::CountDistinctKeys); the device path's staging sweep feeds the
+// same hashes to the KMV sketch that sizes its table (section 4.2).
 class HashEvaluator : public Evaluator {
  public:
   explicit HashEvaluator(const GroupByPlan* plan) : plan_(plan) {}

@@ -45,11 +45,14 @@ class FlatAggTable {
     mask_ = cap - 1;
     // The dense arrays are written once per group: reserving them for the
     // estimate spares each one its doubling copies (and, past the
-    // allocator's mmap threshold, a fresh mapping per doubling).
-    keys_.reserve(expected_groups);
-    rep_rows_.reserve(expected_groups);
-    hashes_.reserve(expected_groups);
-    accs_.reserve(expected_groups * num_slots_);
+    // allocator's mmap threshold, a fresh mapping per doubling). An eighth
+    // of headroom covers a KMV estimate's few percent of error, which would
+    // otherwise double every array of a table at its last groups.
+    const uint64_t reserve = expected_groups + expected_groups / 8;
+    keys_.reserve(reserve);
+    rep_rows_.reserve(reserve);
+    hashes_.reserve(reserve);
+    accs_.reserve(reserve * num_slots_);
   }
 
   // Finds the group for (key, hash), inserting a freshly initialized group

@@ -28,8 +28,6 @@ struct AccValue {
 struct FlatGroups {
   std::vector<uint32_t> rep_rows;
   std::vector<AccValue> accs;  // num_groups() x plan.slots().size()
-  // KMV group-count estimate of the sweep that produced the groups.
-  uint64_t kmv_estimate = 0;
 
   uint64_t num_groups() const { return rep_rows.size(); }
 };

@@ -9,11 +9,8 @@ namespace blusim::runtime {
 
 namespace {
 
-// Sweep morsel size (the CPU chain's granularity), and the sample a
-// KeySample aims for: about one morsel of keys, so its distinct-per-row
-// ratio is the reduction a morsel's local table would see.
+// Sweep morsel size (the CPU chain's granularity).
 constexpr uint64_t kSweepMorselRows = 65536;
-constexpr uint64_t kSampleRows = 65536;
 // The full-pass sketch's morsels: smaller than the sweep's, so a selection
 // of a few morsels still spreads over the pool (the estimate does not
 // depend on them).
@@ -40,37 +37,9 @@ const uint32_t* RowsOf(const std::vector<uint32_t>* selection) {
 
 }  // namespace
 
-double KeySample::DistinctPerRow() const {
-  if (rows == 0) return 0.0;
-  return std::min(1.0, static_cast<double>(distinct) /
-                           static_cast<double>(rows));
-}
-
-KeySample SampleKeys(const GroupByPlan& plan,
-                     const std::vector<uint32_t>* selection,
-                     uint32_t hash_partitions) {
-  const uint64_t total_rows =
-      selection != nullptr ? selection->size() : plan.table().num_rows();
-  const uint64_t stride = std::max<uint64_t>(1, total_rows / kSampleRows);
-  std::vector<uint32_t> sampled;
-  sampled.reserve(total_rows / stride + 1);
-  for (uint64_t i = 0; i < total_rows; i += stride) {
-    sampled.push_back(selection != nullptr ? (*selection)[i]
-                                           : static_cast<uint32_t>(i));
-  }
-  KmvSketch sketch(256);
-  ForEachHashBlock(plan, sampled.data(), MorselRange{0, sampled.size()},
-                   [&](uint64_t, const uint64_t* hashes, uint64_t n) {
-                     sketch.AddHashes(hashes, n);
-                   });
-  KeySample sample;
-  sample.rows = sampled.size();
-  sample.distinct = sketch.Estimate(hash_partitions);
-  return sample;
-}
-
 uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
-                           const std::vector<uint32_t>* selection, size_t k) {
+                           const std::vector<uint32_t>* selection, size_t k,
+                           uint32_t hash_partitions) {
   const uint64_t total_rows =
       selection != nullptr ? selection->size() : plan.table().num_rows();
   const uint64_t num_morsels = NumMorsels(total_rows, kSketchMorselRows);
@@ -90,7 +59,7 @@ uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
   }
   KmvSketch merged(k);
   for (const KmvSketch& sketch : sketches) merged.Merge(sketch);
-  return merged.Estimate();
+  return merged.Estimate(hash_partitions);
 }
 
 std::vector<std::vector<uint32_t>> PartitionRows(

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "columnar/types.h"
-#include "common/kmv.h"
 #include "runtime/groupby_plan.h"
 #include "runtime/thread_pool.h"
 
@@ -33,7 +32,7 @@ struct PayloadVector {
 
 // Per-morsel state flowing through the evaluator chain (figures 1 and 2).
 // Each evaluator consumes fields produced by its predecessor:
-//   LCOG/LCOV fill keys/payloads, CCAT packs, HASH hashes (+KMV), then
+//   LCOG/LCOV fill keys/payloads, CCAT packs, HASH hashes, then
 //   LGHT groups locally (CPU path) or MEMCPY stages for the GPU.
 struct Stride {
   MorselRange range;
@@ -54,7 +53,6 @@ struct Stride {
 
   // HASH output.
   std::vector<uint64_t> hashes;
-  KmvSketch kmv{256};
 
   // LCOV output: one PayloadVector per plan slot (COUNT slots are empty).
   std::vector<PayloadVector> payloads;

@@ -107,6 +107,15 @@ QueryService::QueryService(core::Engine* engine, ServiceOptions options)
   admission_wait_us_ = metrics.GetHistogram(
       "blusim_serve_admission_wait_us", {},
       "Wall-clock admission-queue wait per admitted query (microseconds)");
+  for (const char* qclass : core::kQueryShapeNames) {
+    for (size_t o = 0; o < kOutcomeNames.size(); ++o) {
+      queries_total_[qclass][o] = metrics.GetCounter(
+          "blusim_serve_queries_total",
+          {{"class", qclass}, {"outcome", kOutcomeNames[o]}},
+          "Served submissions by terminal outcome (completed / degraded / "
+          "shed / failed) and query shape class");
+    }
+  }
 
   {
     // Materialize the configured admission classes up front so their
@@ -214,13 +223,8 @@ void QueryService::AccountShedLocked(Tenant* tenant) {
   ++tenant->shed;
 }
 
-void QueryService::CountOutcome(const char* qclass, const char* outcome) {
-  engine_->metrics()
-      .GetCounter("blusim_serve_queries_total",
-                  {{"class", qclass}, {"outcome", outcome}},
-                  "Served submissions by terminal outcome (completed / "
-                  "degraded / shed / failed) and query shape class")
-      ->Add(1);
+void QueryService::CountOutcome(const char* qclass, Outcome outcome) {
+  queries_total_.at(qclass)[static_cast<size_t>(outcome)]->Add(1);
 }
 
 std::vector<obs::MetricSample> QueryService::CollectSamples() const {
@@ -498,7 +502,7 @@ void QueryService::CompleteShed(ShedOutcome shed) {
   // trace carrying the admission state -- because "why was my query
   // rejected?" is exactly the question the recorder exists to answer.
   slo_->RecordShed(t->qclass, t->tenant);
-  CountOutcome(t->qclass, "shed");
+  CountOutcome(t->qclass, Outcome::kShed);
   obs::TraceBuilder tb(t->query.name);
   tb.Annotate("outcome", "shed");
   tb.Annotate("shed_reason", shed.reason);
@@ -555,7 +559,7 @@ void QueryService::ExecuteTicket(std::unique_ptr<Ticket> ticket) {
   if (!result.ok()) {
     // Admitted but errored: always pinned into the recorder, with the
     // error in place of a trace (Execute returns no profile on failure).
-    CountOutcome(ticket->qclass, "failed");
+    CountOutcome(ticket->qclass, Outcome::kFailed);
     obs::TraceBuilder tb(ticket->query.name);
     tb.Annotate("outcome", "failed");
     tb.Annotate("error", result.status().ToString());
@@ -586,8 +590,8 @@ void QueryService::ExecuteTicket(std::unique_ptr<Ticket> ticket) {
             options_.tail_outlier_factor *
                 static_cast<double>(window.QuantileUpperBound(0.99));
     slo_->Record(ticket->qclass, mode, ticket->tenant, elapsed);
-    CountOutcome(ticket->qclass, "completed");
-    if (degraded) CountOutcome(ticket->qclass, "degraded");
+    CountOutcome(ticket->qclass, Outcome::kCompleted);
+    if (degraded) CountOutcome(ticket->qclass, Outcome::kDegraded);
 
     const char* anomaly =
         degraded ? "degraded" : (outlier ? "tail_outlier" : "");

@@ -1,6 +1,7 @@
 #ifndef BLUSIM_SERVE_QUERY_SERVICE_H_
 #define BLUSIM_SERVE_QUERY_SERVICE_H_
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
@@ -348,9 +350,14 @@ class QueryService {
   void UpdateQueueGaugesLocked(Tenant* tenant) REQUIRES(mu_);
   void UpdateInflightLocked() REQUIRES(mu_);
 
-  // Counts a terminal outcome under blusim_serve_queries_total and stores
-  // the flight record (shed/failed build a synthetic trace).
-  void CountOutcome(const char* qclass, const char* outcome);
+  // Terminal outcomes, the `outcome` label of blusim_serve_queries_total.
+  enum class Outcome : uint8_t { kCompleted, kDegraded, kShed, kFailed };
+  static constexpr std::array<const char*, 4> kOutcomeNames = {
+      "completed", "degraded", "shed", "failed"};
+
+  // Counts a terminal outcome of a query of class `qclass`
+  // (core::QueryShapeName) under blusim_serve_queries_total.
+  void CountOutcome(const char* qclass, Outcome outcome);
 
   core::Engine* engine_;
   ServiceOptions options_;
@@ -393,6 +400,9 @@ class QueryService {
   obs::Gauge* queue_depth_gauge_;
   obs::Gauge* inflight_gauge_;
   obs::Histogram* admission_wait_us_;
+  // blusim_serve_queries_total by query shape class and Outcome.
+  std::map<std::string_view, std::array<obs::Counter*, kOutcomeNames.size()>>
+      queries_total_;
 
   // Declared last: the executors touch every member above.
   std::vector<common::Thread> executors_;

@@ -584,25 +584,6 @@ Result<std::vector<uint32_t>> HybridSorter::Sort(
     // how much work the early abort skipped.
     if (stats != nullptr) *stats = run_stats;
     BLUSIM_RETURN_NOT_OK(first_error);
-    if (options.metrics != nullptr) {
-      options.metrics
-          ->GetCounter("blusim_sort_jobs_total", {{"path", "cpu"}},
-                       "Hybrid-sort jobs drained from the queue by path")
-          ->Add(run_stats.jobs_cpu);
-      options.metrics
-          ->GetCounter("blusim_sort_jobs_total", {{"path", "gpu"}},
-                       "Hybrid-sort jobs drained from the queue by path")
-          ->Add(run_stats.jobs_gpu);
-      options.metrics
-          ->GetCounter("blusim_sort_gpu_fallbacks_total", {},
-                       "GPU-eligible sort jobs that ran on the CPU instead")
-          ->Add(run_stats.gpu_fallbacks);
-      options.metrics
-          ->GetCounter("blusim_sort_staging_reuses_total", {},
-                       "GPU sort jobs served from a worker's cached pinned "
-                       "staging buffer")
-          ->Add(run_stats.staging_reuses);
-    }
   } else if (stats != nullptr) {
     *stats = HybridSortStats{};
   }

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "gpusim/pinned_pool.h"
 #include "gpusim/sim_device.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "sched/gpu_scheduler.h"
@@ -42,9 +41,6 @@ struct HybridSortOptions {
   // keygen / transfer / radix kernel) on its own track; staging work that
   // overlaps a radix kernel lands on the worker's second track.
   obs::TraceBuilder* trace = nullptr;
-  // Optional registry for the job-queue counters (cpu- vs gpu-drained
-  // jobs, capacity fallbacks).
-  obs::MetricsRegistry* metrics = nullptr;
   // Test-only: worker processing the Nth job (0-based, across all workers)
   // records an injected Internal error instead, exercising the early-abort
   // path. -1 = disabled.

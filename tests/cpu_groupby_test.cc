@@ -126,14 +126,6 @@ TEST_P(CpuGroupByParamTest, MatchesNaiveReference) {
     EXPECT_NEAR(result.column(kcols + 6).float64_data()[r], avg,
                 1e-6 * std::abs(avg) + 1e-9);
   }
-  // KMV estimate must be within 25% of the truth (or exact when small).
-  const double est = static_cast<double>(out->kmv_estimate);
-  const double truth = static_cast<double>(ref.size());
-  if (ref.size() <= 256) {
-    EXPECT_EQ(out->kmv_estimate, ref.size());
-  } else {
-    EXPECT_NEAR(est / truth, 1.0, 0.25);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -187,10 +179,10 @@ TEST(CpuGroupByTest, WorksWithoutThreadPool) {
 TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
   // One HashPartition range of 8 (partition 5) over a two-morsel input:
   // every key hash shares the range's top 3 bits. Told so, the chain
-  // estimates the range's own group count and, its keys being near-unique,
-  // spreads its own partitions by the bits below; reading the shared bits
-  // instead estimates from the partition index and sends every row to one
-  // partition.
+  // (given no estimate) counts the range's own groups and, its keys being
+  // near-unique, spreads its own partitions by the bits below; reading the
+  // shared bits instead estimates from the partition index and sends every
+  // row to one partition.
   constexpr uint32_t kPartitions = 8;
   Schema schema;
   schema.AddField({"k", DataType::kInt64, false});
@@ -217,10 +209,9 @@ TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
   ThreadPool pool(3);
   CpuGroupByStats stats;
   auto out = CpuGroupBy::ExecuteToFlat(plan.value(), &pool, &partition,
-                                       kPartitions, &stats);
+                                       kPartitions, /*estimated_groups=*/0,
+                                       &stats);
   ASSERT_TRUE(out.ok());
-  const double groups = static_cast<double>(out->num_groups());
-  EXPECT_NEAR(static_cast<double>(out->kmv_estimate), groups, 0.15 * groups);
   EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
   EXPECT_GT(stats.partitions, 1u);
   EXPECT_EQ(stats.nonempty_partitions, stats.partitions);
@@ -293,7 +284,8 @@ TEST(CpuGroupByTest, PartitionFirstMatchesReferenceNarrowAndWide) {
 
     ThreadPool pool(3);
     CpuGroupByStats stats;
-    auto out = CpuGroupBy::Execute(plan.value(), &pool, &selection, &stats);
+    auto out = CpuGroupBy::Execute(plan.value(), &pool, &selection,
+                                   /*estimated_groups=*/0, &stats);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
     EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
     ASSERT_EQ(out->num_groups, ref.size());
@@ -312,6 +304,65 @@ TEST(CpuGroupByTest, PartitionFirstMatchesReferenceNarrowAndWide) {
       EXPECT_EQ(res.column(k + 3).decimal_data()[r], it->second.dec);
       EXPECT_EQ(res.column(k + 4).decimal_data()[r], it->second.dec_max);
     }
+  }
+}
+
+// The estimate sizes the tables and nothing else: estimates of 1, the
+// exact count, 10x it and none (the chain counts the keys itself) give the
+// same result table, row for row. The estimate of 1 undersizes every local
+// table, which then grows.
+TEST(CpuGroupByTest, EstimateOnlySizesTables) {
+  Schema schema;
+  schema.AddField({"k", DataType::kInt64, false});
+  schema.AddField({"g", DataType::kInt32, false});
+  schema.AddField({"v", DataType::kInt64, true});
+  schema.AddField({"d", DataType::kFloat64, false});
+  Table t(schema);
+  Rng rng(314);
+  for (int i = 0; i < 300000; ++i) {
+    t.column(0).AppendInt64(static_cast<int64_t>(rng.Below(3000)));
+    t.column(1).AppendInt32(static_cast<int32_t>(rng.Below(2)));
+    if (rng.NextDouble() < 0.1) t.column(2).AppendNull();
+    else t.column(2).AppendInt64(rng.Range(-1000, 1000));
+    t.column(3).AppendDouble(rng.NextDouble());
+  }
+  std::vector<uint32_t> selection;
+  for (uint32_t row = 0; row < t.num_rows(); ++row) {
+    if (row % 5 != 1) selection.push_back(row);
+  }
+  GroupBySpec spec;
+  spec.key_columns = {0, 1};
+  spec.aggregates = {{AggFn::kSum, 2, "s"},
+                     {AggFn::kCount, 2, "n"},
+                     {AggFn::kSum, 3, "sd"},
+                     {AggFn::kMax, 3, "mx"}};
+  auto plan = GroupByPlan::Make(t, spec);
+  ASSERT_TRUE(plan.ok());
+
+  ThreadPool pool(3);
+  auto reference = CpuGroupBy::Execute(plan.value(), &pool, &selection);
+  ASSERT_TRUE(reference.ok());
+  const uint64_t groups = reference->num_groups;
+  ASSERT_GT(groups, 5000u);
+  for (const uint64_t estimate :
+       {uint64_t{1}, groups, 10 * groups, uint64_t{0}}) {
+    CpuGroupByStats stats;
+    auto out =
+        CpuGroupBy::Execute(plan.value(), &pool, &selection, estimate, &stats);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kLocal);
+    if (estimate == 1) {
+      EXPECT_GT(stats.local_rehashes, 0u);
+    }
+    const Table& a = *reference->table;
+    const Table& b = *out->table;
+    ASSERT_EQ(a.num_rows(), b.num_rows()) << "estimate " << estimate;
+    EXPECT_EQ(a.column(0).int64_data(), b.column(0).int64_data());
+    EXPECT_EQ(a.column(1).int32_data(), b.column(1).int32_data());
+    EXPECT_EQ(a.column(2).int64_data(), b.column(2).int64_data());
+    EXPECT_EQ(a.column(3).int64_data(), b.column(3).int64_data());
+    EXPECT_EQ(a.column(4).float64_data(), b.column(4).float64_data());
+    EXPECT_EQ(a.column(5).float64_data(), b.column(5).float64_data());
   }
 }
 

@@ -194,7 +194,8 @@ void RunDifferential(const Table& t, ThreadPool* pool,
                      {AggFn::kMax, 1, "mx"}};
   auto plan = GroupByPlan::Make(t, spec);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  auto out = CpuGroupBy::Execute(plan.value(), pool, nullptr, stats);
+  auto out = CpuGroupBy::Execute(plan.value(), pool, nullptr,
+                                 /*estimated_groups=*/0, stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   const auto ref = ReferenceGroupBy(t);
@@ -355,10 +356,12 @@ TEST(CpuGroupByAdversarialTest, PartitionFirstSerialAndParallelAgreeExactly) {
   }
 }
 
-// The strategy follows the distinct-keys-per-row ratio of the sampled
-// selection: a mid-cardinality selection (65536 keys over 200k rows reads
-// about 0.63) stays local, a near-unique one partitions first, and a
-// near-unique selection of one morsel has no merge to skip and stays local.
+// The strategy follows the expected distinct keys per row of a uniform
+// one-morsel sample, computed from the group-count estimate: a
+// mid-cardinality selection (65536 keys over 200k rows reads about 0.69)
+// stays local, a near-unique one partitions first, and a near-unique
+// selection of one morsel has no merge to skip and stays local. Each case
+// runs with the router's estimate and, with none, counts its keys itself.
 TEST(CpuGroupByAdversarialTest, StrategyFollowsTheSampledDistinctRatio) {
   Schema schema;
   schema.AddField({"mid", DataType::kInt64, false});
@@ -379,13 +382,12 @@ TEST(CpuGroupByAdversarialTest, StrategyFollowsTheSampledDistinctRatio) {
   struct Case {
     int key;
     const std::vector<uint32_t>* selection;
-    bool above;  // sampled ratio above the threshold
     CpuGroupByStrategy strategy;
   };
   const Case cases[] = {
-      {0, &every_other, false, CpuGroupByStrategy::kLocal},
-      {1, &every_other, true, CpuGroupByStrategy::kPartition},
-      {1, &one_morsel, true, CpuGroupByStrategy::kLocal},
+      {0, &every_other, CpuGroupByStrategy::kLocal},
+      {1, &every_other, CpuGroupByStrategy::kPartition},
+      {1, &one_morsel, CpuGroupByStrategy::kLocal},
   };
   ThreadPool pool(3);
   for (const Case& c : cases) {
@@ -394,17 +396,33 @@ TEST(CpuGroupByAdversarialTest, StrategyFollowsTheSampledDistinctRatio) {
     spec.aggregates = {{AggFn::kSum, 2, "s"}};
     auto plan = GroupByPlan::Make(t, spec);
     ASSERT_TRUE(plan.ok());
-    const double ratio = SampleKeys(plan.value(), c.selection).DistinctPerRow();
-    EXPECT_EQ(ratio > CpuGroupBy::kPartitionMinDistinctPerRow, c.above)
-        << "key " << c.key << " ratio " << ratio;
-    CpuGroupByStats stats;
-    auto out = CpuGroupBy::Execute(plan.value(), &pool, c.selection, &stats);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(stats.strategy, c.strategy) << "key " << c.key;
-    int64_t total = 0;
-    for (int64_t s : out->table->column(1).int64_data()) total += s;
-    EXPECT_EQ(total, static_cast<int64_t>(c.selection->size()));
+    const uint64_t rows = c.selection->size();
+    const uint64_t estimate =
+        CountDistinctKeys(plan.value(), &pool, c.selection, 512);
+    EXPECT_EQ(CpuGroupBy::ChooseStrategy(rows, estimate), c.strategy)
+        << "key " << c.key << " estimate " << estimate;
+    for (const uint64_t given : {estimate, uint64_t{0}}) {
+      CpuGroupByStats stats;
+      auto out =
+          CpuGroupBy::Execute(plan.value(), &pool, c.selection, given, &stats);
+      ASSERT_TRUE(out.ok());
+      EXPECT_EQ(stats.strategy, c.strategy) << "key " << c.key;
+      int64_t total = 0;
+      for (int64_t s : out->table->column(1).int64_data()) total += s;
+      EXPECT_EQ(total, static_cast<int64_t>(rows));
+    }
   }
+  // The rule's edges: one group per row partitions past one morsel, a
+  // lone morsel never does, and a bounded domain far below the row count
+  // stays local.
+  const uint64_t two_morsels = 2 * CpuGroupBy::kMorselRows;
+  EXPECT_EQ(CpuGroupBy::ChooseStrategy(two_morsels, two_morsels),
+            CpuGroupByStrategy::kPartition);
+  EXPECT_EQ(CpuGroupBy::ChooseStrategy(CpuGroupBy::kMorselRows,
+                                       CpuGroupBy::kMorselRows),
+            CpuGroupByStrategy::kLocal);
+  EXPECT_EQ(CpuGroupBy::ChooseStrategy(4000000, 65536),
+            CpuGroupByStrategy::kLocal);
 }
 
 }  // namespace
