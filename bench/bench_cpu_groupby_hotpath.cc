@@ -16,6 +16,13 @@
 // Differential: each case's result (sorted key, SUM, COUNT rows) must equal
 // the baseline's; the binary exits non-zero otherwise.
 //
+// never_fits_topk is the never-fits ROLAP shape (Q35-Q46): 200k unique
+// keys, five aggregate slots, ORDER BY an aggregate, LIMIT 1000, timed
+// from the chain to the returned head. The lazy path (pieces, the sort-key
+// column, head selection, the head's gather) is measured against the full
+// path it replaced (every group materialized, a full sort, the head
+// copied), and must return the same head row for row.
+//
 // Env knobs: BLUSIM_BENCH_ROWS (default 2000000), BLUSIM_BENCH_REPS
 // (default 3, best-of), BLUSIM_BENCH_THREADS (default hardware).
 
@@ -24,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,10 +42,12 @@
 #include "columnar/table.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "runtime/cpu_groupby.h"
 #include "runtime/evaluators.h"
 #include "runtime/group_result.h"
 #include "runtime/partition_sweep.h"
+#include "sort/hybrid_sort.h"
 
 namespace blusim::runtime {
 namespace {
@@ -117,7 +127,8 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
   }
   BLUSIM_RETURN_NOT_OK(first_error);
 
-  FlatGroups groups;
+  GroupPieces pieces(1);
+  FlatGroups& groups = pieces.front();
   groups.rep_rows.reserve(global.size());
   groups.accs.reserve(global.size() * num_slots);
   for (auto& [key, entry] : global) {
@@ -125,10 +136,7 @@ Result<GroupByOutput> LegacyCpuGroupBy(const GroupByPlan& plan,
     groups.accs.insert(groups.accs.end(), entry.slots.begin(),
                        entry.slots.end());
   }
-  GroupByOutput out;
-  out.num_groups = groups.num_groups();
-  BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroupsFlat(plan, groups));
-  return out;
+  return MaterializeOutput(plan, pieces);
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +175,94 @@ std::vector<std::array<int64_t, 3>> SortedRows(const columnar::Table& t) {
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+// --- never_fits_topk --------------------------------------------------------
+
+constexpr uint64_t kTopkRows = 200000;
+constexpr uint64_t kTopkLimit = 1000;
+
+// kTopkRows unique scrambled keys, an int64 and a float64 payload.
+columnar::Table MakeTopkTable() {
+  columnar::Schema schema;
+  schema.AddField({"k", columnar::DataType::kInt64, false});
+  schema.AddField({"v", columnar::DataType::kInt64, false});
+  schema.AddField({"d", columnar::DataType::kFloat64, false});
+  columnar::Table t(schema);
+  t.Reserve(kTopkRows);
+  Rng rng(kTopkRows);
+  for (uint64_t r = 0; r < kTopkRows; ++r) {
+    t.column(0).AppendInt64(static_cast<int64_t>(Mix64(r) >> 1));
+    t.column(1).AppendInt64(rng.Range(-1000, 1000));
+    t.column(2).AppendDouble(static_cast<double>(rng.Range(0, 50000)) / 4);
+  }
+  return t;
+}
+
+// Five slots: SUM(v), COUNT(*), MIN(v), MAX(v), SUM(d); result column 5 is
+// SUM(d), the ORDER BY key (many ties at the LIMIT boundary).
+GroupBySpec TopkSpec() {
+  GroupBySpec spec;
+  spec.key_columns = {0};
+  spec.aggregates = {{AggFn::kSum, 1, "s"},
+                     {AggFn::kCount, -1, "n"},
+                     {AggFn::kMin, 1, "lo"},
+                     {AggFn::kMax, 1, "hi"},
+                     {AggFn::kSum, 2, "ds"}};
+  return spec;
+}
+
+const std::vector<sort::SortKey> kTopkOrder = {{5, false}};
+
+// The engine's path: pieces, the sort-key column, head selection, then
+// only the head gathered.
+Result<std::shared_ptr<columnar::Table>> LazyTopk(const GroupByPlan& plan,
+                                                  ThreadPool* pool,
+                                                  uint64_t estimate) {
+  BLUSIM_ASSIGN_OR_RETURN(
+      GroupPieces groups,
+      CpuGroupBy::ExecuteToFlat(plan, pool, nullptr, 1, estimate));
+  BLUSIM_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> head,
+      core::OrderGroups(plan, groups, kTopkOrder, kTopkLimit, pool));
+  return MaterializeGroups(plan, groups, pool, &head);
+}
+
+// The path it replaced: every group materialized, the whole result sorted
+// on one worker, the head copied out.
+Result<std::shared_ptr<columnar::Table>> FullTopk(const GroupByPlan& plan,
+                                                  ThreadPool* pool,
+                                                  uint64_t estimate) {
+  BLUSIM_ASSIGN_OR_RETURN(
+      GroupByOutput out, CpuGroupBy::Execute(plan, pool, nullptr, estimate));
+  sort::HybridSortOptions options;
+  options.num_workers = 1;
+  options.pool = pool != nullptr ? pool : &ThreadPool::Default();
+  BLUSIM_ASSIGN_OR_RETURN(
+      std::vector<uint32_t> perm,
+      sort::HybridSorter::Sort(*out.table, kTopkOrder, options, nullptr));
+  perm.resize(std::min<uint64_t>(perm.size(), kTopkLimit));
+  return core::MaterializeRows(*out.table, perm, {});
+}
+
+// Row for row, in order (doubles by bits).
+bool SameTable(const columnar::Table& a, const columnar::Table& b) {
+  if (a.num_columns() != b.num_columns() || a.num_rows() != b.num_rows()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const columnar::Column& x = a.column(c);
+    const columnar::Column& y = b.column(c);
+    if (x.type() != y.type()) return false;
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      const bool same = x.type() == columnar::DataType::kFloat64
+                            ? std::memcmp(&x.float64_data()[r],
+                                          &y.float64_data()[r], 8) == 0
+                            : x.GetInt64(r) == y.GetInt64(r);
+      if (!same) return false;
+    }
+  }
+  return true;
 }
 
 template <typename Fn>
@@ -274,6 +370,61 @@ int main() {
         r.legacy_tn / 1e6, r.flat_tn / r.legacy_tn);
   }
 
+  // never_fits_topk: the lazy head against the full path it replaced.
+  CaseResult topk;
+  topk.name = "never_fits_topk";
+  topk.groups_target = kTopkRows;
+  {
+    const columnar::Table t = MakeTopkTable();
+    auto plan = GroupByPlan::Make(t, TopkSpec());
+    if (!plan.ok()) {
+      std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
+      return 1;
+    }
+    const uint64_t estimate =
+        CountDistinctKeys(plan.value(), &pool, nullptr, /*k=*/512);
+    CpuGroupByStats stats;
+    auto groups = CpuGroupBy::ExecuteToFlat(plan.value(), &pool, nullptr, 1,
+                                            estimate, &stats);
+    auto lazy = LazyTopk(plan.value(), &pool, estimate);
+    auto full = FullTopk(plan.value(), &pool, estimate);
+    if (!groups.ok() || !lazy.ok() || !full.ok()) {
+      std::fprintf(stderr, "never_fits_topk: %s\n",
+                   (!groups.ok()  ? groups.status()
+                    : !lazy.ok()  ? lazy.status()
+                                  : full.status())
+                       .ToString()
+                       .c_str());
+      return 1;
+    }
+    if ((*lazy)->num_rows() != kTopkLimit || !SameTable(**lazy, **full)) {
+      std::fprintf(stderr,
+                   "never_fits_topk: the head differs from the full sort's\n");
+      return 1;
+    }
+    topk.groups_actual = NumGroups(*groups);
+    topk.strategy = CpuGroupByStrategyName(stats.strategy);
+    topk.flat_t1 = MeasureRowsPerSec(kTopkRows, reps, [&] {
+      (void)LazyTopk(plan.value(), nullptr, estimate);
+    });
+    topk.flat_tn = MeasureRowsPerSec(kTopkRows, reps, [&] {
+      (void)LazyTopk(plan.value(), &pool, estimate);
+    });
+    topk.legacy_t1 = MeasureRowsPerSec(kTopkRows, reps, [&] {
+      (void)FullTopk(plan.value(), nullptr, estimate);
+    });
+    topk.legacy_tn = MeasureRowsPerSec(kTopkRows, reps, [&] {
+      (void)FullTopk(plan.value(), &pool, estimate);
+    });
+    std::printf(
+        "%-17s groups=%-8llu %-9s lazy 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | "
+        "full 1T %7.2f Mrows/s  %dT %7.2f Mrows/s | multi speedup %.2fx\n",
+        topk.name.c_str(), static_cast<unsigned long long>(topk.groups_actual),
+        topk.strategy.c_str(), topk.flat_t1 / 1e6, threads,
+        topk.flat_tn / 1e6, topk.legacy_t1 / 1e6, threads,
+        topk.legacy_tn / 1e6, topk.flat_tn / topk.legacy_tn);
+  }
+
   FILE* f = std::fopen("BENCH_cpu_groupby.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_cpu_groupby.json\n");
@@ -297,8 +448,21 @@ int main() {
         r.name.c_str(), static_cast<unsigned long long>(r.groups_actual),
         r.strategy.c_str(), r.flat_t1, r.flat_tn, r.legacy_t1, r.legacy_tn,
         r.flat_t1 / r.legacy_t1, r.flat_tn / r.legacy_tn,
-        i + 1 < results.size() ? "," : "");
+        ",");
   }
+  std::fprintf(
+      f,
+      "    {\"case\": \"%s\", \"groups\": %llu, \"strategy\": \"%s\", "
+      "\"limit\": %llu,\n"
+      "     \"after_lazy_head\": {\"rows_per_sec_1t\": %.0f, "
+      "\"rows_per_sec_nt\": %.0f},\n"
+      "     \"before_full_materialize\": {\"rows_per_sec_1t\": %.0f, "
+      "\"rows_per_sec_nt\": %.0f},\n"
+      "     \"speedup_1t\": %.3f, \"speedup_nt\": %.3f}\n",
+      topk.name.c_str(), static_cast<unsigned long long>(topk.groups_actual),
+      topk.strategy.c_str(), static_cast<unsigned long long>(kTopkLimit),
+      topk.flat_t1, topk.flat_tn, topk.legacy_t1, topk.legacy_tn,
+      topk.flat_t1 / topk.legacy_t1, topk.flat_tn / topk.legacy_tn);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_cpu_groupby.json\n");

@@ -30,11 +30,14 @@ actually built):
      the CostModel group-by primitives directly; they price and charge a
      group-by through the term functions of src/groupby/price.h, so no
      second copy of the price can grow back.
-  F. no per-row key or predicate calls -- RowMatchesPredicates(,
-     .PackKey(, .KeyHash( and FillWideKey( may appear in src/ only in the
-     two batch kernels (src/runtime/predicate.* and
-     src/runtime/groupby_plan.*): every host sweep evaluates predicates
-     and packs or hashes keys a batch at a time, column by column.
+  F. no per-row key, predicate, aggregate or cell calls --
+     RowMatchesPredicates(, .PackKey(, .KeyHash( and FillWideKey( may
+     appear in src/ only in the two batch kernels (src/runtime/predicate.*
+     and src/runtime/groupby_plan.*), and AccumulateRow( and .AppendFrom( /
+     ->AppendFrom( only where those one-row oracles are defined
+     (src/runtime/group_result.* and src/columnar/column.*): every host
+     sweep evaluates predicates, packs or hashes keys, aggregates and
+     gathers a batch at a time, column by column.
   G. one group-count estimate -- KmvSketch may appear in src/ only in the
      sketch itself (src/common/kmv.*) and the three places that estimate a
      group count: the router's sample (src/core/engine.cc), the full-pass
@@ -157,6 +160,18 @@ BATCH_KERNEL_FILES = {
     "src/runtime/predicate.cc",
     "src/runtime/groupby_plan.h",
     "src/runtime/groupby_plan.cc",
+}
+# Per-row aggregation and per-cell copies: AGGD runs a typed loop per slot
+# (runtime::AccumulateSlot) and results are gathered a column at a time
+# (Column::AppendRows). The one-row forms stay as the test oracles, in the
+# files that define them.
+PER_CELL_RE = re.compile(
+    r"\bAccumulateRow\s*\(|(?:\.|->)\s*AppendFrom\s*\(")
+PER_CELL_ORACLE_FILES = {
+    "src/columnar/column.h",
+    "src/columnar/column.cc",
+    "src/runtime/group_result.h",
+    "src/runtime/group_result.cc",
 }
 
 # --- check G: one group-count estimate ----------------------------------
@@ -447,12 +462,11 @@ def check_price(root, files):
 def check_per_row(root, files):
     findings = []
     for rel in files:
-        if rel.replace(os.sep, "/") in BATCH_KERNEL_FILES:
-            continue
+        norm = rel.replace(os.sep, "/")
         with open(os.path.join(root, rel), encoding="utf-8") as f:
             text = strip_comments_and_strings(f.read())
         for lineno, line in enumerate(text.splitlines(), 1):
-            m = PER_ROW_RE.search(line)
+            m = None if norm in BATCH_KERNEL_FILES else PER_ROW_RE.search(line)
             if m:
                 call = re.sub(r"\s+", "", m.group(0)).lstrip(".->")
                 findings.append(Finding(
@@ -460,6 +474,15 @@ def check_per_row(root, files):
                     f"per-row {call}...) call; evaluate predicates with "
                     "runtime::SelectRows and pack or hash keys with "
                     "GroupByPlan::PackKeys / FillWideKeys / HashKeys"))
+            m = (None if norm in PER_CELL_ORACLE_FILES
+                 else PER_CELL_RE.search(line))
+            if m:
+                call = re.sub(r"\s+", "", m.group(0)).lstrip(".->")
+                findings.append(Finding(
+                    "perrow", rel, lineno,
+                    f"per-row {call}...) call; aggregate a slot at a time "
+                    "with runtime::AccumulateSlot and gather columns with "
+                    "Column::AppendRows"))
     return findings
 
 

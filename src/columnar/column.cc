@@ -1,5 +1,7 @@
 #include "columnar/column.h"
 
+#include <type_traits>
+
 #include "common/hash.h"
 
 namespace blusim::columnar {
@@ -122,6 +124,40 @@ void Column::AppendFrom(const Column& src, size_t row) {
     case DataType::kString:
       AppendString(src.string_data()[row]);
       break;
+  }
+}
+
+void Column::AppendRows(const Column& src, const uint32_t* rows, size_t n) {
+  BLUSIM_CHECK(src.data_.index() == data_.index());
+  const size_t base = size();
+  const bool nullable = src.has_nulls();
+  std::visit(
+      [&](auto& data) {
+        using Vec = std::decay_t<decltype(data)>;
+        const Vec& from = std::get<Vec>(src.data_);
+        data.resize(base + n);
+        if (!nullable) {
+          for (size_t i = 0; i < n; ++i) data[base + i] = from[rows[i]];
+          return;
+        }
+        // A null keeps the type-default value, as AppendNull leaves it.
+        for (size_t i = 0; i < n; ++i) {
+          if (!src.IsNull(rows[i])) data[base + i] = from[rows[i]];
+        }
+      },
+      data_);
+  if (nullable) {
+    if (valid_.empty()) valid_.assign(base, true);
+    valid_.resize(base + n);
+    for (size_t i = 0; i < n; ++i) {
+      const bool valid = !src.IsNull(rows[i]);
+      valid_[base + i] = valid;
+      null_count_ += valid ? 0 : 1;
+    }
+    // The validity bitmap stays empty until the first null.
+    if (null_count_ == 0) valid_.clear();
+  } else if (!valid_.empty()) {
+    valid_.resize(base + n, true);
   }
 }
 

@@ -30,8 +30,25 @@ class Column {
   void AppendString(std::string v);
   void AppendDate(int32_t days) { AppendInt32Impl(days); }
   void AppendNull();
-  // Appends `src`'s value at `row`, or a null; `src` has this type.
+  // Appends `src`'s value at `row`, or a null; `src` has this type. The
+  // one-cell oracle of AppendRows.
   void AppendFrom(const Column& src, size_t row);
+  // Appends `src`'s values (or nulls) at rows[0..n), in order: the typed
+  // gather, one type switch per call. `src` has this type.
+  void AppendRows(const Column& src, const uint32_t* rows, size_t n);
+  // Appends n non-null, value-initialized values of storage type T (int32_t
+  // for INT32/DATE, int64_t, double, Decimal128, std::string) and returns
+  // them for the caller to fill; one type check per call. The pointer is
+  // valid until the next append.
+  template <typename T>
+  T* AppendValues(size_t n) {
+    BLUSIM_CHECK(std::holds_alternative<std::vector<T>>(data_));
+    std::vector<T>& data = std::get<std::vector<T>>(data_);
+    const size_t base = data.size();
+    data.resize(base + n);
+    if (!valid_.empty()) valid_.resize(base + n, true);
+    return data.data() + base;
+  }
 
   void Reserve(size_t n);
 

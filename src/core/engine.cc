@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "common/heap.h"
 #include "common/kmv.h"
@@ -186,11 +187,34 @@ Result<std::shared_ptr<Table>> MaterializeRows(
   auto out = std::make_shared<Table>(std::move(schema));
   out->Reserve(rows.size());
   for (size_t i = 0; i < cols.size(); ++i) {
-    const Column& src = table.column(static_cast<size_t>(cols[i]));
-    Column& dst = out->column(i);
-    for (uint32_t row : rows) dst.AppendFrom(src, row);
+    out->column(i).AppendRows(table.column(static_cast<size_t>(cols[i])),
+                              rows.data(), rows.size());
   }
   return out;
+}
+
+Result<std::vector<uint32_t>> OrderGroups(
+    const GroupByPlan& plan, const runtime::GroupPieces& groups,
+    const std::vector<sort::SortKey>& order_by, uint64_t limit,
+    runtime::ThreadPool* pool) {
+  // The sort keys' result columns, each once, and the keys renumbered
+  // over them.
+  std::vector<int> columns;
+  std::vector<sort::SortKey> keys;
+  for (const sort::SortKey& k : order_by) {
+    auto it = std::find(columns.begin(), columns.end(), k.column);
+    if (it == columns.end()) it = columns.insert(columns.end(), k.column);
+    keys.push_back({static_cast<int>(it - columns.begin()), k.ascending});
+  }
+  BLUSIM_ASSIGN_OR_RETURN(
+      std::shared_ptr<Table> sort_keys,
+      runtime::MaterializeGroups(plan, groups, pool, /*positions=*/nullptr,
+                                 columns));
+  sort::HybridSortOptions options;
+  options.num_workers = 1;
+  options.pool = pool;
+  return sort::HybridSorter::Sort(*sort_keys, std::move(keys), options,
+                                  /*stats=*/nullptr, limit);
 }
 
 Engine::Instruments::Instruments(obs::MetricsRegistry* m) {
@@ -366,7 +390,7 @@ Result<std::shared_ptr<Table>> Engine::GetTable(
   return it->second;
 }
 
-Result<std::shared_ptr<Table>> Engine::RunGroupBy(
+Result<Engine::GroupResult> Engine::RunGroupBy(
     const QuerySpec& query, const Table& fact,
     const std::vector<uint32_t>* selection, const ExecOptions& opts,
     QueryProfile* profile, obs::TraceBuilder* trace) {
@@ -483,7 +507,7 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
             std::any_of(pstats.chunks.begin(), pstats.chunks.end(),
                         [](const auto& c) { return c.on_gpu; });
         if (!profile->gpu_used) profile->degraded = true;
-        return out->table;
+        return GroupResult{std::move(plan), std::move(out).value()};
       }
       status = out.status();
     }
@@ -503,23 +527,26 @@ Result<std::shared_ptr<Table>> Engine::RunGroupBy(
   BLUSIM_RETURN_NOT_OK(materialize_selection());
   const WallTimer timer;
   runtime::CpuGroupByStats cpu_stats;
-  auto cpu_out = runtime::CpuGroupBy::Execute(plan, &pool_, selection,
-                                              estimates.groups, &cpu_stats);
-  BLUSIM_RETURN_NOT_OK(cpu_out.status());
-  trace->Annotate("actual_groups", std::to_string(cpu_out->num_groups));
+  BLUSIM_ASSIGN_OR_RETURN(
+      runtime::GroupPieces groups,
+      runtime::CpuGroupBy::ExecuteToFlat(plan, &pool_, selection,
+                                         /*hash_partitions=*/1,
+                                         estimates.groups, &cpu_stats));
+  const uint64_t num_groups = runtime::NumGroups(groups);
+  trace->Annotate("actual_groups", std::to_string(num_groups));
 
   RecordPhase(
       CpuPhase("groupby-cpu",
-               groupby::CpuChainWork(cost_, selection->size(),
-                                     cpu_out->num_groups, plan.slots().size()),
+               groupby::CpuChainWork(cost_, selection->size(), num_groups,
+                                     plan.slots().size()),
                config_.query_dop, timer.ElapsedUs()),
       obs::kCatCpu, profile, trace,
       {{"rows", std::to_string(selection->size())},
-       {"groups", std::to_string(cpu_out->num_groups)},
+       {"groups", std::to_string(num_groups)},
        {"strategy", runtime::CpuGroupByStrategyName(cpu_stats.strategy)},
        {"partitions", std::to_string(cpu_stats.partitions)}});
 
-  return cpu_out->table;
+  return GroupResult{std::move(plan), std::move(groups)};
 }
 
 bool Engine::PartitionedUpgradeWins(GroupByPlan* plan, const Table& fact,
@@ -527,9 +554,10 @@ bool Engine::PartitionedUpgradeWins(GroupByPlan* plan, const Table& fact,
                                     const groupby::GpuGroupByOptions& gpu,
                                     const OptimizerEstimates& estimates,
                                     bool deferred, bool fold_scan) {
-  const groupby::PriceEnv env{pool_.num_threads(), config_.query_dop,
-                              static_cast<int>(devices_.size()),
-                              devices_.front()->usable_shared_mem()};
+  const groupby::PriceEnv env{
+      pool_.num_threads(), config_.query_dop,
+      static_cast<int>(devices_.size()),
+      groupby::SharedKernelBudget(devices_.front()->spec())};
   // The shape Execute sees once the selection is explicit: every selected
   // row scanned and staged, in the stage mode it picks for them.
   const groupby::GroupByShape rows{
@@ -572,7 +600,7 @@ bool Engine::PartitionedUpgradeWins(GroupByPlan* plan, const Table& fact,
 }
 
 void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
-                                 const Result<runtime::GroupByOutput>& out,
+                                 const Result<runtime::GroupPieces>& out,
                                  int64_t wall_us, QueryProfile* profile,
                                  obs::TraceBuilder* trace) {
   const bool partitioned = stats.num_partitions > 1;
@@ -703,9 +731,9 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
     const groupby::PartitionChunkStats& chunk = stats.chunks.front();
     const groupby::GpuGroupByStats& g = chunk.gpu;
     PhaseRecord gpu = DevicePhase("groupby-kernel", chunk, 0);
-    // The rest of the driver call: upload, init, kernel, readback and
-    // materializing the result (and the placement, when no wait phase
-    // carries it).
+    // The rest of the driver call: upload, init, kernel, readback and the
+    // scan of the read-back table into flat groups (and the placement,
+    // when no wait phase carries it).
     const int64_t wait_wall_us = chunk.wait_time > 0 ? chunk.wait_wall_us : 0;
     gpu.wall_us =
         std::max<int64_t>(0, wall_us - wait_wall_us - g.stage_wall_us);
@@ -743,7 +771,7 @@ void Engine::RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
   instruments_.bytes_h2d->Add(bytes_in);
   instruments_.bytes_d2h->Add(bytes_out);
   instruments_.bytes_staged_avoided->Add(bytes_avoided);
-  trace->Annotate("actual_groups", std::to_string(out->table->num_rows()));
+  trace->Annotate("actual_groups", std::to_string(runtime::NumGroups(*out)));
 }
 
 Result<QueryResult> Engine::Execute(const QuerySpec& query,
@@ -815,33 +843,32 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
   std::shared_ptr<Table> result;
 
   // --- Group by / aggregation ---
+  // The groups stay pieces until ORDER BY and LIMIT have picked the rows
+  // the query returns.
+  std::optional<GroupResult> grouped;
   if (query.groupby.has_value()) {
     BLUSIM_ASSIGN_OR_RETURN(
-        result, RunGroupBy(query, *fact, defer_scan ? nullptr : &selection,
-                           opts, &profile, &trace));
+        grouped, RunGroupBy(query, *fact, defer_scan ? nullptr : &selection,
+                            opts, &profile, &trace));
   }
 
   // --- Order by ---
   if (!query.order_by.empty()) {
     const WallTimer timer;
-    if (result != nullptr) {
-      // Sorting the (small) aggregated result: CPU.
-      sort::HybridSortOptions options;
-      options.num_workers = 1;
-      options.pool = &pool_;
-      sort::HybridSortStats stats;
+    if (grouped.has_value()) {
+      // Sorting the (small) aggregated result: CPU. Only the sort-key
+      // columns are materialized; the LIMIT's head is selected before the
+      // sort, and only the head is gathered.
       BLUSIM_ASSIGN_OR_RETURN(
-          std::vector<uint32_t> perm,
-          sort::HybridSorter::Sort(*result, query.order_by, options,
-                                   &stats));
-      // The sort is charged for every row it ordered; only the LIMIT's
-      // head is copied out.
-      const uint64_t sorted_rows = perm.size();
-      if (query.limit > 0 && perm.size() > query.limit) {
-        perm.resize(query.limit);
-      }
-      BLUSIM_ASSIGN_OR_RETURN(result, MaterializeRows(*result, perm, {}));
-      RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(sorted_rows, 1),
+          std::vector<uint32_t> head,
+          OrderGroups(grouped->plan, grouped->groups, query.order_by,
+                      query.limit, &pool_));
+      BLUSIM_ASSIGN_OR_RETURN(
+          result, runtime::MaterializeGroups(grouped->plan, grouped->groups,
+                                             &pool_, &head));
+      const uint64_t num_groups = runtime::NumGroups(grouped->groups);
+      // The sort is charged for every group it ordered.
+      RecordPhase(CpuPhase("sort-result", cost_.HostSortTime(num_groups, 1),
                            config_.query_dop, timer.ElapsedUs()),
                   obs::kCatCpu, &profile, &trace);
       profile.sort_path = ExecutionPath::kCpu;
@@ -920,6 +947,20 @@ Result<QueryResult> Engine::Execute(const QuerySpec& query,
         profile.gpu_used = true;
       }
     }
+  }
+
+  // --- Aggregation without a sort: the groups in output order, only the
+  // LIMIT's head when there is one ---
+  if (grouped.has_value() && result == nullptr) {
+    std::vector<uint32_t> head;
+    if (query.limit > 0 && query.limit < runtime::NumGroups(grouped->groups)) {
+      head.resize(query.limit);
+      std::iota(head.begin(), head.end(), 0);
+    }
+    BLUSIM_ASSIGN_OR_RETURN(
+        result, runtime::MaterializeGroups(grouped->plan, grouped->groups,
+                                           &pool_,
+                                           head.empty() ? nullptr : &head));
   }
 
   // --- No aggregation / no sort: project the selected rows ---

@@ -24,6 +24,7 @@
 #include "groupby/partitioned.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/group_result.h"
 #include "runtime/thread_pool.h"
 #include "sched/gpu_scheduler.h"
 
@@ -107,6 +108,15 @@ Result<std::shared_ptr<columnar::Table>> MaterializeRows(
     const columnar::Table& table, const std::vector<uint32_t>& rows,
     const std::vector<int>& projection);
 
+// ORDER BY over a group result, with the query's LIMIT (0 = none): only
+// the sort-key columns are materialized, the CPU sort selects the LIMIT's
+// head before sorting it (HybridSorter::Sort), and the group positions of
+// the rows the query keeps come back in order.
+Result<std::vector<uint32_t>> OrderGroups(
+    const runtime::GroupByPlan& plan, const runtime::GroupPieces& groups,
+    const std::vector<sort::SortKey>& order_by, uint64_t limit,
+    runtime::ThreadPool* pool);
+
 // The hybrid CPU/GPU analytic engine: BLU-style columnar operators with
 // group-by/aggregation and sort offloaded to simulated GPUs when the
 // figure-3 router decides the device pays off. Thread-safe for concurrent
@@ -154,12 +164,21 @@ class Engine {
                               const ExecOptions& opts = ExecOptions());
 
  private:
+  // A group-by's result as it leaves the group-by: the compiled plan and
+  // its groups as pieces, unmaterialized (runtime/group_result.h).
+  struct GroupResult {
+    runtime::GroupByPlan plan;
+    runtime::GroupPieces groups;
+  };
+
   // `selection` == nullptr means the caller deferred the fact FilterScan
   // (data-path fusion): the group-by either folds the predicates into the
   // fused staging sweep, or materializes the selection itself (recording
   // the scan phase) before any path that needs explicit row ids. Returns
-  // the aggregated table; the profile records path, phases and device use.
-  Result<std::shared_ptr<columnar::Table>> RunGroupBy(
+  // the groups, lazy: ORDER BY and LIMIT run on them, and only the rows the
+  // query returns are materialized. The profile records path, phases and
+  // device use.
+  Result<GroupResult> RunGroupBy(
       const QuerySpec& query, const columnar::Table& fact,
       const std::vector<uint32_t>* selection, const ExecOptions& opts,
       QueryProfile* profile, obs::TraceBuilder* trace);
@@ -181,7 +200,7 @@ class Engine {
   // phases, spans, annotations and counters of the fan-out that ran.
   // `wall_us` is the driver call's host wall time.
   void RecordDeviceGroupBy(const groupby::PartitionedStats& stats,
-                           const Result<runtime::GroupByOutput>& out,
+                           const Result<runtime::GroupPieces>& out,
                            int64_t wall_us, QueryProfile* profile,
                            obs::TraceBuilder* trace);
 

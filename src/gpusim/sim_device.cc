@@ -18,14 +18,18 @@ void SimDevice::SetSharedMemConfig(SharedMemConfig config) {
   shared_config_.store(config, std::memory_order_relaxed);
 }
 
-uint64_t SimDevice::usable_shared_mem() const {
-  const uint64_t total = spec_.shared_mem_per_smx_bytes;
-  switch (shared_config_.load(std::memory_order_relaxed)) {
+uint64_t SharedMemBytes(const DeviceSpec& spec, SharedMemConfig config) {
+  const uint64_t total = spec.shared_mem_per_smx_bytes;
+  switch (config) {
     case SharedMemConfig::kShared48L116: return total * 3 / 4;  // 48 KB
     case SharedMemConfig::kShared16L148: return total / 4;      // 16 KB
     case SharedMemConfig::kEqual32: return total / 2;           // 32 KB
   }
   return total / 2;
+}
+
+uint64_t SimDevice::usable_shared_mem() const {
+  return SharedMemBytes(spec_, shared_config_.load(std::memory_order_relaxed));
 }
 
 SimTime SimDevice::CopyToDevice(const void* src, DeviceBuffer* dst,

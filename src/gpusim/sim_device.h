@@ -24,6 +24,9 @@ enum class SharedMemConfig {
   kEqual32,       // 32 / 32
 };
 
+// Shared memory per SMX of `spec` under `config`.
+uint64_t SharedMemBytes(const DeviceSpec& spec, SharedMemConfig config);
+
 // One simulated GPU: memory manager (reservations), kernel launcher,
 // perf monitor and the PCIe transfer engine. All "time" values returned
 // are simulated durations from the cost model; all data movement and

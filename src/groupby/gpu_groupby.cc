@@ -203,15 +203,12 @@ Result<GroupByOutput> GpuGroupBy::Execute(
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
     GpuModerator* /*moderator*/, const std::vector<uint32_t>* selection,
     const GpuGroupByOptions& options, GpuGroupByStats* stats) {
+  runtime::GroupPieces pieces(1);
   BLUSIM_ASSIGN_OR_RETURN(
-      runtime::FlatGroups groups,
+      pieces.front(),
       ExecuteToGroups(plan, device, pinned_pool, thread_pool, selection,
                       /*hash_partitions=*/1, options, stats));
-  GroupByOutput out;
-  out.num_groups = groups.num_groups();
-  BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          runtime::MaterializeGroupsFlat(plan, groups));
-  return out;
+  return runtime::MaterializeOutput(plan, pieces, thread_pool);
 }
 
 Result<runtime::FlatGroups> GpuGroupBy::ExecuteToGroups(
@@ -305,7 +302,7 @@ Result<runtime::FlatGroups> GpuGroupBy::ExecuteToGroups(
     const GroupByKernelParams kp =
         KernelParams(plan, staged_mode, rows, staged.kmv_estimate);
     const GroupByKernelKind chosen = GpuModerator::ChooseKernel(
-        cost, kp, layout, device->usable_shared_mem());
+        cost, kp, layout, SharedKernelBudget(device->spec()));
 
     std::atomic<uint64_t> overflow{0};
     GroupByKernelArgs args;

@@ -81,14 +81,15 @@ struct GpuGroupByOptions {
 // GpuModerator::ChooseKernel. The parameter stays for existing callers.
 class GpuGroupBy {
  public:
+  // ExecuteToGroups, then every group materialized.
   static Result<runtime::GroupByOutput> Execute(
       const runtime::GroupByPlan& plan, gpusim::SimDevice* device,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
       GpuModerator* moderator, const std::vector<uint32_t>* selection,
       const GpuGroupByOptions& options, GpuGroupByStats* stats);
 
-  // Unmaterialized variant for PartitionedGroupBy, which merges the
-  // chunks' flat groups before materializing once. `hash_partitions` > 1
+  // Unmaterialized variant for PartitionedGroupBy, whose result keeps the
+  // chunks' flat groups as its pieces. `hash_partitions` > 1
   // says the selection is one HashPartition range of that many; the
   // staging KMV estimate drops the range's shared hash bits.
   static Result<runtime::FlatGroups> ExecuteToGroups(

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "gpusim/atomics.h"
 #include "gpusim/kernel.h"
+#include "groupby/moderator.h"
 
 namespace blusim::groupby {
 
@@ -470,7 +471,7 @@ Status RunKernelSharedMem(gpusim::SimDevice* device,
     return Status::InvalidArgument("kernel 2 requires a <=64-bit key");
   }
   // Configure the SMX for the 48 KB shared-memory split (section 4.3.2).
-  device->SetSharedMemConfig(gpusim::SharedMemConfig::kShared48L116);
+  device->SetSharedMemConfig(kSharedKernelConfig);
   const HashTableLayout& layout = *args.layout;
   const uint64_t shared_cap =
       SharedTableCapacity(layout, device->usable_shared_mem());

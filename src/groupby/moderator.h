@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "gpusim/cost_model.h"
+#include "gpusim/sim_device.h"
 #include "groupby/layout.h"
 
 namespace blusim::groupby {
@@ -12,6 +13,17 @@ namespace blusim::groupby {
 // fraction of the per-SMX shared-memory table: past it, hash collisions in
 // the small table and the KMV estimate's error leave too little headroom.
 inline constexpr double kSharedTableMaxFill = 0.5;
+
+// The shared-memory split kernel 2 configures on launch (section 4.3.2:
+// 48 KB shared, 16 KB L1), and its shared budget per SMX on `spec`. Kernel
+// 2 is priced on this budget, not on a device's current split, so the
+// kernel choice depends on the query alone and not on which kernels the
+// device ran before.
+inline constexpr gpusim::SharedMemConfig kSharedKernelConfig =
+    gpusim::SharedMemConfig::kShared48L116;
+inline uint64_t SharedKernelBudget(const gpusim::DeviceSpec& spec) {
+  return gpusim::SharedMemBytes(spec, kSharedKernelConfig);
+}
 
 // The GPU moderator (section 4.2): picks the group-by kernel for a query at
 // runtime from the optimizer/KMV metadata. It holds no state; the choice is

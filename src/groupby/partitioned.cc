@@ -18,8 +18,8 @@
 
 namespace blusim::groupby {
 
-using runtime::GroupByOutput;
 using runtime::GroupByPlan;
+using runtime::GroupPieces;
 
 namespace {
 
@@ -35,7 +35,7 @@ constexpr uint32_t kMaxPartitions = 1024;
 struct PartitionSlot {
   bool used = false;
   PartitionChunkStats chunk;  // the record Execute returns for it
-  runtime::FlatGroups groups;  // the partition's groups, from either lane
+  GroupPieces groups;  // the partition's groups, from either lane
 };
 
 // Shared work-queue state. Device lanes pop the front (largest remaining
@@ -76,12 +76,13 @@ Status RunDeviceChunk(const GroupByPlan& plan, sched::GpuScheduler* scheduler,
   slot->chunk.wait_wall_us = timer.ElapsedUs();
   BLUSIM_RETURN_NOT_OK(pick.status());
   slot->chunk.device_id = pick.value()->id();
+  slot->groups.resize(1);
   BLUSIM_ASSIGN_OR_RETURN(
-      slot->groups,
+      slot->groups.front(),
       GpuGroupBy::ExecuteToGroups(plan, pick.value(), pinned_pool,
                                   thread_pool, selection, hash_partitions,
                                   gpu, &slot->chunk.gpu));
-  slot->chunk.groups = slot->groups.num_groups();
+  slot->chunk.groups = runtime::NumGroups(slot->groups);
   slot->chunk.on_gpu = true;
   slot->chunk.wall_us = timer.ElapsedUs();
   return Status::OK();
@@ -147,7 +148,7 @@ uint32_t PartitionedGroupBy::ChooseFanOut(const GroupByPlan& plan,
   return p;
 }
 
-Result<GroupByOutput> PartitionedGroupBy::Execute(
+Result<GroupPieces> PartitionedGroupBy::Execute(
     const GroupByPlan& plan, sched::GpuScheduler* scheduler,
     gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
     const std::vector<uint32_t>* selection, Fanout fanout,
@@ -191,23 +192,14 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
     c.rows = c.gpu.rows_staged;
     AddChunk(slot, stats);
     stats->gpu_lane_time = c.wait_time + c.gpu.total() - c.gpu.stage_time;
-    GroupByOutput out;
-    out.num_groups = c.groups;
-    BLUSIM_ASSIGN_OR_RETURN(out.table,
-                            runtime::MaterializeGroupsFlat(plan, slot.groups));
-    return out;
+    return std::move(slot.groups);
   }
 
   if (selection == nullptr) {
     return Status::InvalidArgument("hash partitioning needs explicit row ids");
   }
   const uint64_t total_rows = selection->size();
-  if (total_rows == 0) {
-    GroupByOutput out;
-    BLUSIM_ASSIGN_OR_RETURN(
-        out.table, runtime::MaterializeGroupsFlat(plan, runtime::FlatGroups{}));
-    return out;
-  }
+  if (total_rows == 0) return GroupPieces{};
   const size_t num_slots = plan.slots().size();
 
   // Group-count estimate: the optimizer's if present, else the router's
@@ -258,7 +250,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
   if (cpu_fraction < 0.0) {
     const GroupByShape shape{total_rows, total_rows, estimated_groups, mode};
     const PriceEnv env{pool_dop, options.cpu_dop, num_devices,
-                       scheduler->device(0)->usable_shared_mem()};
+                       SharedKernelBudget(scheduler->device(0)->spec())};
     cpu_fraction = ChooseCpuSplit(cost, plan, shape, env, num_partitions);
   }
   cpu_fraction = std::clamp(cpu_fraction, 0.0, 1.0);
@@ -330,7 +322,7 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
                             runtime::CpuGroupBy::ExecuteToFlat(
                                 plan, thread_pool, &sel, num_partitions,
                                 partition_groups));
-    slot->chunk.groups = slot->groups.num_groups();
+    slot->chunk.groups = runtime::NumGroups(slot->groups);
     slot->chunk.cpu_time = CpuChainTime(
         cost, sel.size(), std::max<uint64_t>(1, slot->chunk.groups), num_slots,
         options.cpu_dop);
@@ -440,24 +432,23 @@ Result<GroupByOutput> PartitionedGroupBy::Execute(
 
   // --- Concatenation merge ---
   // Partitions are disjoint in group space (equal keys share a partition),
-  // so materializing each partition's groups in partition-id order is a
-  // complete, deterministic merge; the group sets are never copied into
-  // one.
+  // so the partitions' pieces in partition-id order are a complete,
+  // deterministic merge; no group is copied.
   const WallTimer merge_timer;
-  GroupByOutput out;
-  std::vector<runtime::FlatGroups> pieces;
+  GroupPieces out;
+  uint64_t num_groups = 0;
   for (uint32_t p = 0; p < num_partitions; ++p) {
     PartitionSlot& slot = slots[p];
     if (!slot.used) continue;
-    out.num_groups += slot.chunk.groups;
-    pieces.push_back(std::move(slot.groups));
+    num_groups += slot.chunk.groups;
+    for (runtime::FlatGroups& piece : slot.groups) {
+      out.push_back(std::move(piece));
+    }
     AddChunk(slot, stats);
   }
-  BLUSIM_ASSIGN_OR_RETURN(
-      out.table, runtime::MaterializeGroupsFlat(plan, pieces, thread_pool));
   stats->merge_wall_us = merge_timer.ElapsedUs();
 
-  stats->merge_time = ConcatMergeTime(cost, out.num_groups, num_slots);
+  stats->merge_time = ConcatMergeTime(cost, num_groups, num_slots);
   SimTime slowest_lane = 0;
   for (SimTime busy : lane_busy) slowest_lane = std::max(slowest_lane, busy);
   stats->cpu_lane_time = cpu_busy;

@@ -53,7 +53,8 @@ struct PartitionedStats {
   // partition, like partition_time).
   SimTime merge_time = 0;
   // Host wall time of the partition sweep and of the concatenation merge
-  // (including materializing the result).
+  // (collecting the partitions' groups as the result's pieces; nothing is
+  // materialized).
   int64_t partition_wall_us = 0;
   int64_t merge_wall_us = 0;
 };
@@ -89,20 +90,23 @@ struct PartitionedOptions {
 // scan under the plan's stage filter. A device failure returns its status
 // and keeps the chunk's reservation wait in the stats.
 //
+// Either way the result is the groups as pieces (runtime::GroupPieces),
+// not a table: the caller materializes only what it returns.
+//
 // Hash partitioning: the selection is hash-partitioned by group key, so
 // partitions are disjoint in group space and the final merge is a
-// concatenation of the partitions' group sets -- no re-hash. Partitions
-// queue once, largest first; per-device driver threads drain the front
-// through fused staging under the scheduler's FIFO-ticket placement while
-// the calling thread drains a price-sized CPU share (smallest
-// partitions) through the runtime::CpuGroupBy flat-table chain; neither
-// lane takes the other's partitions. Device failures that are recoverable
+// concatenation of the partitions' group sets -- no re-hash, no copy.
+// Partitions queue once, largest first; per-device driver threads drain
+// the front through fused staging under the scheduler's FIFO-ticket
+// placement while the calling thread drains a price-sized CPU share
+// (smallest partitions) through the runtime::CpuGroupBy flat-table chain;
+// neither lane takes the other's partitions. Device failures that are recoverable
 // on the host (Status::IsRecoverableOnHost) retry the partition on the CPU
 // instead of failing the query. It needs explicit row ids: a null
 // selection is InvalidArgument.
 class PartitionedGroupBy {
  public:
-  static Result<runtime::GroupByOutput> Execute(
+  static Result<runtime::GroupPieces> Execute(
       const runtime::GroupByPlan& plan, sched::GpuScheduler* scheduler,
       gpusim::PinnedHostPool* pinned_pool, runtime::ThreadPool* thread_pool,
       const std::vector<uint32_t>* selection, Fanout fanout,

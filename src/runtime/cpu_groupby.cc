@@ -1,6 +1,7 @@
 #include "runtime/cpu_groupby.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -51,34 +52,39 @@ uint64_t TableSize(double groups, uint64_t rows) {
       rows, std::max<uint64_t>(16, static_cast<uint64_t>(std::ceil(groups))));
 }
 
-// LGHT + AGGD/SUM/CNT: groups a processed stride's rows into `table`, with
-// the aggregates applied inline.
+// Rows per LGHT/AGGD block: the block's group ids, and the groups it
+// touched, are still in cache when the per-slot passes read them.
+constexpr uint64_t kAggBlockRows = 2048;
+
+// LGHT + AGGD/SUM/CNT by group id: groups a processed stride's rows into
+// `table` a block at a time -- the block's lookups fill its group ids,
+// then each slot aggregates the block in one typed loop.
 template <typename Key, typename GetKey>
 void AggregateStride(const GroupByPlan& plan, const Stride& stride,
                      GetKey get_key, FlatAggTable<Key>* table) {
   const size_t num_slots = plan.slots().size();
   const uint64_t n = stride.num_rows();
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint32_t g = table->FindOrInsert(get_key(stride, i),
-                                           stride.hashes[i],
-                                           stride.InputRow(i));
-    AccValue* accs = table->group_accs(g);
+  uint32_t gids[kAggBlockRows];
+  for (uint64_t begin = 0; begin < n; begin += kAggBlockRows) {
+    const uint64_t len = std::min(kAggBlockRows, n - begin);
+    for (uint64_t j = 0; j < len; ++j) {
+      const uint64_t i = begin + j;
+      gids[j] = table->FindOrInsert(get_key(stride, i), stride.hashes[i],
+                                    stride.InputRow(i));
+    }
+    AccValue* accs = table->mutable_accs();
     for (size_t s = 0; s < num_slots; ++s) {
-      AccumulateRow(plan.slots()[s], stride.payloads[s], i, &accs[s]);
+      AccumulateSlot(plan.slots()[s], stride.payloads[s], begin, len, gids, s,
+                     num_slots, accs);
     }
   }
 }
 
-// The groups of one execution as pieces that are disjoint in group space
-// (one per merge shard or partition), in output order: appending them is
-// the whole merge.
-using GroupPieces = std::vector<FlatGroups>;
-
 // Moves each table's groups out as one piece, in order.
 template <typename Key>
-std::vector<FlatGroups> TakePieces(
+GroupPieces TakePieces(
     std::vector<std::unique_ptr<FlatAggTable<Key>>>* tables) {
-  std::vector<FlatGroups> pieces;
+  GroupPieces pieces;
   pieces.reserve(tables->size());
   for (auto& t : *tables) {
     if (t != nullptr) pieces.push_back(std::move(*t).TakeGroups());
@@ -127,6 +133,7 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
   }
 
   SharedScanState shared;
+  std::atomic<uint64_t> keys_hashed{0};
 
   std::vector<std::unique_ptr<MorselPartial<Key>>> partials(num_morsels);
 
@@ -135,6 +142,7 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
     stride.range = GetMorsel(total_rows, CpuGroupBy::kMorselRows, m);
     stride.selection = selection;
     Status st = chain.ProcessStride(&stride);
+    keys_hashed.fetch_add(stride.keys_hashed, std::memory_order_relaxed);
     if (!st.ok()) {
       shared.Fail(st);
       return;
@@ -171,6 +179,7 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
   BLUSIM_RETURN_NOT_OK(shared.Finish());
 
   if (stats != nullptr) {
+    stats->key_hashes += keys_hashed.load(std::memory_order_relaxed);
     stats->partitions = 1;
     stats->nonempty_partitions = total_rows > 0;
     stats->merge_shards = shards;
@@ -208,16 +217,20 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
     auto table = std::make_unique<FlatAggTable<Key>>(
         &plan,
         std::min(shard_sum, std::max<uint64_t>(groups / shards, largest)));
+    std::vector<uint32_t> into;
     for (const auto& partial : partials) {
       const FlatAggTable<Key>& src = partial->table;
-      for (uint32_t g : partial->shard_groups[p]) {
-        const uint32_t dst = table->FindOrInsert(
-            src.group_key(g), src.group_hash(g), src.group_rep_row(g));
-        const AccValue* from = src.group_accs(g);
-        AccValue* into = table->group_accs(dst);
-        for (size_t s = 0; s < num_slots; ++s) {
-          MergeAcc(plan.slots()[s], from[s], &into[s]);
-        }
+      const std::vector<uint32_t>& from = partial->shard_groups[p];
+      into.resize(from.size());
+      for (size_t j = 0; j < from.size(); ++j) {
+        const uint32_t g = from[j];
+        into[j] = table->FindOrInsert(src.group_key(g), src.group_hash(g),
+                                      src.group_rep_row(g));
+      }
+      for (size_t s = 0; s < num_slots; ++s) {
+        MergeSlot(plan.slots()[s], from.size(), from.data(),
+                  src.accs().data(), into.data(), s, num_slots,
+                  table->mutable_accs());
       }
     }
     shard_tables[p] = std::move(table);
@@ -238,13 +251,13 @@ Result<GroupPieces> RunLocal(const GroupByPlan& plan, ThreadPool* pool,
   return TakePieces(&shard_tables);
 }
 
-// The partition-first strategy: one sweep scatters the row ids into
-// `num_partitions` hash partitions, and each partition runs the chain into
-// one table. Equal keys share a partition, so its groups are final: no
-// local duplicate, no merge. The tables are the pieces, in partition
-// order, and each partition's rows stay in selection order, so the result
-// (float sums included) does not depend on the thread count. Each table is
-// sized for its share of the `groups` estimate.
+// The partition-first strategy: one sweep scatters the row ids and their
+// key hashes into `num_partitions` hash partitions, and each partition runs
+// the chain, on those hashes, into one table. Equal keys share a partition,
+// so its groups are final: no local duplicate, no merge. The tables are the
+// pieces, in partition order, and each partition's rows stay in selection
+// order, so the result (float sums included) does not depend on the thread
+// count. Each table is sized for its share of the `groups` estimate.
 template <typename Key, typename GetKey>
 Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
                                      ThreadPool* pool,
@@ -252,13 +265,15 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
                                      uint32_t hash_partitions,
                                      uint32_t num_partitions, uint64_t groups,
                                      GetKey get_key, CpuGroupByStats* stats) {
+  std::vector<std::vector<uint64_t>> hashes;
   const std::vector<std::vector<uint32_t>> partitions = PartitionRows(
-      plan, pool, selection, hash_partitions, num_partitions);
+      plan, pool, selection, hash_partitions, num_partitions, &hashes);
   const double partition_groups =
       static_cast<double>(groups) / static_cast<double>(num_partitions);
 
   GroupByChain chain(&plan);
   SharedScanState shared;
+  std::atomic<uint64_t> keys_hashed{0};
   std::vector<std::unique_ptr<FlatAggTable<Key>>> tables(num_partitions);
   auto process_partition = [&](uint64_t p) {
     const std::vector<uint32_t>& rows = partitions[p];
@@ -266,7 +281,10 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
     Stride stride;
     stride.range = MorselRange{0, rows.size()};
     stride.selection = &rows;
+    stride.hashes = std::move(hashes[p]);
+    stride.hashes_given = true;
     Status st = chain.ProcessStride(&stride);
+    keys_hashed.fetch_add(stride.keys_hashed, std::memory_order_relaxed);
     if (!st.ok()) {
       shared.Fail(st);
       return;
@@ -284,6 +302,10 @@ Result<GroupPieces> RunPartitionFirst(const GroupByPlan& plan,
 
   BLUSIM_RETURN_NOT_OK(shared.Finish());
   if (stats != nullptr) {
+    // The sweep hashed every selected key once.
+    stats->key_hashes += keys_hashed.load(std::memory_order_relaxed) +
+                         (selection ? selection->size()
+                                    : plan.table().num_rows());
     stats->strategy = CpuGroupByStrategy::kPartition;
     stats->partitions = num_partitions;
     for (const auto& t : tables) {
@@ -305,11 +327,12 @@ Result<GroupPieces> Run(const GroupByPlan& plan, ThreadPool* pool,
                         GetKey get_key, CpuGroupByStats* stats) {
   const uint64_t total_rows =
       selection ? selection->size() : plan.table().num_rows();
-  const uint64_t groups =
-      estimated_groups > 0
-          ? estimated_groups
-          : CountDistinctKeys(plan, pool, selection, /*k=*/512,
-                              hash_partitions);
+  uint64_t groups = estimated_groups;
+  if (groups == 0) {
+    groups = CountDistinctKeys(plan, pool, selection, /*k=*/512,
+                               hash_partitions);
+    if (stats != nullptr) stats->key_hashes += total_rows;
+  }
   if (CpuGroupBy::ChooseStrategy(total_rows, groups) ==
       CpuGroupByStrategy::kPartition) {
     const auto num_partitions = static_cast<uint32_t>(std::min<uint64_t>(
@@ -361,41 +384,23 @@ CpuGroupByStrategy CpuGroupBy::ChooseStrategy(uint64_t rows,
                                                : CpuGroupByStrategy::kLocal;
 }
 
-Result<FlatGroups> CpuGroupBy::ExecuteToFlat(
+Result<GroupPieces> CpuGroupBy::ExecuteToFlat(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, uint32_t hash_partitions,
     uint64_t estimated_groups, CpuGroupByStats* stats) {
-  BLUSIM_ASSIGN_OR_RETURN(GroupPieces pieces,
-                          RunChain(plan, pool, selection, hash_partitions,
-                                   estimated_groups, stats));
-  if (pieces.size() == 1) return std::move(pieces.front());
-  FlatGroups out;
-  uint64_t total_groups = 0;
-  for (const FlatGroups& piece : pieces) total_groups += piece.num_groups();
-  out.rep_rows.reserve(total_groups);
-  out.accs.reserve(total_groups * plan.slots().size());
-  for (const FlatGroups& piece : pieces) {
-    out.rep_rows.insert(out.rep_rows.end(), piece.rep_rows.begin(),
-                        piece.rep_rows.end());
-    out.accs.insert(out.accs.end(), piece.accs.begin(), piece.accs.end());
-  }
-  return out;
+  return RunChain(plan, pool, selection, hash_partitions, estimated_groups,
+                  stats);
 }
 
 Result<GroupByOutput> CpuGroupBy::Execute(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, uint64_t estimated_groups,
     CpuGroupByStats* stats) {
-  // The pieces are materialized as they stand: no concatenated copy.
   BLUSIM_ASSIGN_OR_RETURN(GroupPieces pieces,
                           RunChain(plan, pool, selection,
                                    /*hash_partitions=*/1, estimated_groups,
                                    stats));
-  GroupByOutput out;
-  for (const FlatGroups& piece : pieces) out.num_groups += piece.num_groups();
-  BLUSIM_ASSIGN_OR_RETURN(out.table,
-                          MaterializeGroupsFlat(plan, pieces, pool));
-  return out;
+  return MaterializeOutput(plan, pieces, pool);
 }
 
 }  // namespace blusim::runtime

@@ -13,12 +13,6 @@
 
 namespace blusim::runtime {
 
-// Output of a group-by execution, CPU or GPU path alike.
-struct GroupByOutput {
-  std::shared_ptr<columnar::Table> table;
-  uint64_t num_groups = 0;
-};
-
 // How a CpuGroupBy execution grouped its rows (CpuGroupBy::ExecuteToFlat).
 enum class CpuGroupByStrategy : uint8_t {
   kLocal,      // per-morsel local tables + merge shards
@@ -48,6 +42,11 @@ struct CpuGroupByStats {
   uint64_t local_rehashes = 0;
   // Grow-and-rehash events in the shard merge tables.
   uint64_t merge_rehashes = 0;
+  // Keys the execution hashed: the group-count estimate's pass (when the
+  // caller had no estimate), the partition sweep and the HASH evaluator.
+  // The partition-first sweep hands its hashes to the chain, so with an
+  // estimate either strategy hashes each selected row's key once.
+  uint64_t key_hashes = 0;
 };
 
 // The original DB2 BLU CPU group-by chain (paper figure 1): parallel
@@ -64,14 +63,21 @@ struct CpuGroupByStats {
 //   table shrinks its rows (low and mid cardinality).
 // - kPartition: when nearly every key of a morsel would be distinct, local
 //   tables would copy each group twice more for nothing. One sweep scatters
-//   the row ids into cache-sized hash partitions (runtime::PartitionRows),
-//   and each partition runs the chain into one table whose groups are
-//   final; the tables are concatenated in partition order.
+//   the row ids and their key hashes into cache-sized hash partitions
+//   (runtime::PartitionRows), and each partition runs the chain (reusing
+//   those hashes) into one table whose groups are final; the tables are
+//   the result's pieces, in partition order.
+//
+// Within a table, LGHT and AGGD run by group id: a block of rows is looked
+// up first (FindOrInsert fills the block's group ids), then each slot
+// aggregates the whole block in one typed loop (AccumulateSlot), and the
+// shard merge likewise (MergeSlot).
 //
 // Either way the result is deterministic run-to-run, serial or parallel.
 // Only first-error tracking shares a mutex.
 class CpuGroupBy {
  public:
+  // The chain, then every group materialized (MaterializeGroups).
   // `selection`: optional filtered/joined row-id list; nullptr = all rows.
   // `estimated_groups`: the optimizer's group-count estimate for the
   // selection; 0 = the caller has none, and the chain counts the keys
@@ -81,14 +87,15 @@ class CpuGroupBy {
       const std::vector<uint32_t>* selection = nullptr,
       uint64_t estimated_groups = 0, CpuGroupByStats* stats = nullptr);
 
-  // Same chain, but stops before materialization and hands back the flat
-  // groups. Safe to call from several threads at once (ParallelFor supports
+  // Same chain, but stops before materialization and hands back the
+  // groups as the result's pieces (merge shards or partitions, in order).
+  // Safe to call from several threads at once (ParallelFor supports
   // concurrent callers); the partitioned group-by runs one call per
   // CPU-side partition, with the partition's share of its estimate.
   // `hash_partitions` > 1 says the selection is one HashPartition range of
   // that many: its key hashes share their top bits, so the merge shards
   // and partitions (and an estimate of its own) use the bits below them.
-  static Result<FlatGroups> ExecuteToFlat(
+  static Result<GroupPieces> ExecuteToFlat(
       const GroupByPlan& plan, ThreadPool* pool,
       const std::vector<uint32_t>* selection, uint32_t hash_partitions,
       uint64_t estimated_groups, CpuGroupByStats* stats = nullptr);

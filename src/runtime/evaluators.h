@@ -52,9 +52,11 @@ class LoadPayloadsEvaluator : public Evaluator {
 };
 
 // HASH: hashes concatenated keys (mod/mix hash for narrow keys, Murmur for
-// wide keys). The group count is estimated once, before the chain runs
-// (runtime::CountDistinctKeys); the device path's staging sweep feeds the
-// same hashes to the KMV sketch that sizes its table (section 4.2).
+// wide keys), unless the stride carries hashes a partition sweep already
+// computed for its rows (Stride::hashes_given). The group count is
+// estimated once, before the chain runs (runtime::CountDistinctKeys); the
+// device path's staging sweep feeds the same hashes to the KMV sketch that
+// sizes its table (section 4.2).
 class HashEvaluator : public Evaluator {
  public:
   explicit HashEvaluator(const GroupByPlan* plan) : plan_(plan) {}

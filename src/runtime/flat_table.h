@@ -99,6 +99,8 @@ class FlatAggTable {
 
   const std::vector<uint32_t>& rep_rows() const { return rep_rows_; }
   const std::vector<AccValue>& accs() const { return accs_; }
+  // The accumulator array; an insert may move it.
+  AccValue* mutable_accs() { return accs_.data(); }
 
   // Moves the groups out as a FlatGroups (no copy); the table is spent.
   FlatGroups TakeGroups() && {

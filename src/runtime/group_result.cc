@@ -1,7 +1,9 @@
 #include "runtime/group_result.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 
@@ -133,116 +135,336 @@ void MergeAcc(const AggSlot& slot, const AccValue& from, AccValue* into) {
 
 namespace {
 
-// Results at least this large fill their columns in parallel, one column
-// per task: columns are separate objects, so the tasks share nothing.
-constexpr uint64_t kParallelMaterializeGroups = 65536;
+// The accumulator member a value type lives in.
+template <typename T>
+T& AccField(AccValue& acc);
+template <>
+int64_t& AccField<int64_t>(AccValue& acc) { return acc.i64; }
+template <>
+double& AccField<double>(AccValue& acc) { return acc.f64; }
+template <>
+Decimal128& AccField<Decimal128>(AccValue& acc) { return acc.dec; }
+template <typename T>
+const T& AccField(const AccValue& acc) {
+  return AccField<T>(const_cast<AccValue&>(acc));
+}
 
-Result<std::shared_ptr<Table>> MaterializePieces(
-    const GroupByPlan& plan, const std::vector<const FlatGroups*>& pieces,
-    ThreadPool* pool) {
-  const Table& input = plan.table();
-  const size_t num_slots = plan.slots().size();
-  uint64_t num_groups = 0;
-  for (const FlatGroups* piece : pieces) num_groups += piece->num_groups();
+struct SumOp {
+  template <typename T>
+  void operator()(T& acc, const T& v) const { acc += v; }
+};
+struct MinOp {
+  template <typename T>
+  void operator()(T& acc, const T& v) const { acc = std::min(acc, v); }
+};
+struct MaxOp {
+  template <typename T>
+  void operator()(T& acc, const T& v) const { acc = std::max(acc, v); }
+};
 
-  Schema schema;
-  for (int kc : plan.spec().key_columns) {
-    schema.AddField(input.schema().field(static_cast<size_t>(kc)));
+// Calls f(op) with the combining operation of `fn` (COUNT merges as SUM).
+template <typename F>
+void WithOp(AggFn fn, F&& f) {
+  switch (fn) {
+    case AggFn::kSum:
+    case AggFn::kCount:
+      return f(SumOp{});
+    case AggFn::kMin:
+      return f(MinOp{});
+    case AggFn::kMax:
+      return f(MaxOp{});
+    case AggFn::kAvg:
+      BLUSIM_CHECK(false);  // decomposed at plan time
   }
-  for (const OutputAgg& out : plan.outputs()) {
-    Field f;
-    f.name = out.desc.output_name;
-    if (f.name.empty()) {
-      f.name = std::string(AggFnName(out.desc.fn)) + "(" +
-               (out.desc.column >= 0
-                    ? input.schema().field(static_cast<size_t>(out.desc.column))
-                          .name
-                    : "*") +
-               ")";
+}
+
+// One typed AGGD loop: rows begin .. begin+n-1 of `values` into slot s of
+// groups gids[0..n), skipping rows `valid` marks NULL when it is non-empty.
+template <typename T, typename Op>
+void AggregateValues(Op op, const T* values, const std::vector<bool>& valid,
+                     size_t begin, size_t n, const uint32_t* gids, size_t s,
+                     size_t num_slots, AccValue* accs) {
+  if (valid.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      op(AccField<T>(accs[gids[i] * num_slots + s]), values[begin + i]);
     }
-    f.type = out.desc.fn == AggFn::kAvg
-                 ? DataType::kFloat64
-                 : plan.slots()[static_cast<size_t>(out.slot)].acc_type;
-    schema.AddField(f);
+    return;
   }
-
-  auto result = std::make_shared<Table>(std::move(schema));
-  result->Reserve(num_groups);
-
-  // Column c: a grouping key read from each group's representative row, or
-  // an aggregate read from its accumulators, over the pieces in order.
-  const size_t num_keys = plan.spec().key_columns.size();
-  auto fill_column = [&](uint64_t c) {
-    Column& dst = result->column(c);
-    if (c < num_keys) {
-      const Column& src =
-          input.column(static_cast<size_t>(plan.spec().key_columns[c]));
-      for (const FlatGroups* groups : pieces) {
-        for (uint32_t rep : groups->rep_rows) dst.AppendFrom(src, rep);
-      }
-      return;
-    }
-    const OutputAgg& out = plan.outputs()[c - num_keys];
-    const AggSlot& slot = plan.slots()[static_cast<size_t>(out.slot)];
-    const auto slot_index = static_cast<size_t>(out.slot);
-    for (const FlatGroups* groups : pieces) {
-      const AccValue* accs = groups->accs.data();
-      const size_t n = groups->num_groups();
-      if (out.desc.fn == AggFn::kAvg) {
-        const auto count_index = static_cast<size_t>(out.count_slot);
-        for (size_t g = 0; g < n; ++g) {
-          const AccValue& a = accs[g * num_slots + slot_index];
-          const int64_t count = accs[g * num_slots + count_index].i64;
-          double sum;
-          switch (slot.acc_type) {
-            case DataType::kFloat64: sum = a.f64; break;
-            case DataType::kDecimal128: sum = a.dec.ToDouble(); break;
-            default: sum = static_cast<double>(a.i64); break;
-          }
-          dst.AppendDouble(count == 0 ? 0.0
-                                      : sum / static_cast<double>(count));
-        }
-        continue;
-      }
-      for (size_t g = 0; g < n; ++g) {
-        const AccValue& a = accs[g * num_slots + slot_index];
-        switch (slot.acc_type) {
-          case DataType::kFloat64: dst.AppendDouble(a.f64); break;
-          case DataType::kDecimal128: dst.AppendDecimal(a.dec); break;
-          case DataType::kInt32:
-          case DataType::kDate:
-            dst.AppendInt32(static_cast<int32_t>(a.i64));
-            break;
-          default: dst.AppendInt64(a.i64); break;
-        }
-      }
-    }
-  };
-  const size_t num_columns = num_keys + plan.outputs().size();
-  if (pool != nullptr && num_groups >= kParallelMaterializeGroups) {
-    pool->ParallelFor(num_columns, fill_column);
-  } else {
-    for (size_t c = 0; c < num_columns; ++c) fill_column(c);
+  for (size_t i = 0; i < n; ++i) {
+    if (!valid[begin + i]) continue;
+    op(AccField<T>(accs[gids[i] * num_slots + s]), values[begin + i]);
   }
+}
 
-  BLUSIM_RETURN_NOT_OK(result->Validate());
-  return result;
+template <typename T, typename Op>
+void MergeValues(Op op, size_t n, const uint32_t* from_gids,
+                 const AccValue* from, const uint32_t* into_gids, size_t s,
+                 size_t num_slots, AccValue* into) {
+  for (size_t i = 0; i < n; ++i) {
+    op(AccField<T>(into[into_gids[i] * num_slots + s]),
+       AccField<T>(from[from_gids[i] * num_slots + s]));
+  }
 }
 
 }  // namespace
 
-Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
-    const GroupByPlan& plan, const FlatGroups& groups) {
-  return MaterializePieces(plan, {&groups}, /*pool=*/nullptr);
+void AccumulateSlot(const AggSlot& slot, const PayloadVector& pv,
+                    size_t begin, size_t n, const uint32_t* gids, size_t s,
+                    size_t num_slots, AccValue* accs) {
+  if (slot.fn == AggFn::kCount) {
+    // COUNT(*) counts all rows; COUNT(col) skips NULLs.
+    const bool all = slot.input_column < 0 || pv.valid.empty();
+    for (size_t i = 0; i < n; ++i) {
+      if (all || pv.valid[begin + i]) ++accs[gids[i] * num_slots + s].i64;
+    }
+    return;
+  }
+  WithOp(slot.fn, [&](auto op) {
+    switch (slot.acc_type) {
+      case DataType::kFloat64:
+        return AggregateValues(op, pv.f64.data(), pv.valid, begin, n, gids, s,
+                               num_slots, accs);
+      case DataType::kDecimal128:
+        return AggregateValues(op, pv.dec.data(), pv.valid, begin, n, gids, s,
+                               num_slots, accs);
+      default:
+        return AggregateValues(op, pv.i64.data(), pv.valid, begin, n, gids, s,
+                               num_slots, accs);
+    }
+  });
 }
 
-Result<std::shared_ptr<Table>> MaterializeGroupsFlat(
-    const GroupByPlan& plan, const std::vector<FlatGroups>& pieces,
-    ThreadPool* pool) {
-  std::vector<const FlatGroups*> ptrs;
-  ptrs.reserve(pieces.size());
-  for (const FlatGroups& piece : pieces) ptrs.push_back(&piece);
-  return MaterializePieces(plan, ptrs, pool);
+void MergeSlot(const AggSlot& slot, size_t n, const uint32_t* from_gids,
+               const AccValue* from, const uint32_t* into_gids, size_t s,
+               size_t num_slots, AccValue* into) {
+  WithOp(slot.fn, [&](auto op) {
+    switch (slot.acc_type) {
+      case DataType::kFloat64:
+        return MergeValues<double>(op, n, from_gids, from, into_gids, s,
+                                   num_slots, into);
+      case DataType::kDecimal128:
+        return MergeValues<Decimal128>(op, n, from_gids, from, into_gids, s,
+                                       num_slots, into);
+      default:
+        return MergeValues<int64_t>(op, n, from_gids, from, into_gids, s,
+                                    num_slots, into);
+    }
+  });
+}
+
+uint64_t NumGroups(const GroupPieces& groups) {
+  uint64_t n = 0;
+  for (const FlatGroups& piece : groups) n += piece.num_groups();
+  return n;
+}
+
+namespace {
+
+// Results at least this large fill their columns in parallel: a task per
+// key column and per aggregate column segment, which write disjoint
+// storage, so the tasks share nothing.
+constexpr uint64_t kParallelMaterializeGroups = 65536;
+
+// The field of result column `c` (keys first, then the user aggregates).
+Field ResultField(const GroupByPlan& plan, size_t c) {
+  const Table& input = plan.table();
+  const size_t num_keys = plan.spec().key_columns.size();
+  if (c < num_keys) {
+    return input.schema().field(
+        static_cast<size_t>(plan.spec().key_columns[c]));
+  }
+  const OutputAgg& out = plan.outputs()[c - num_keys];
+  Field f;
+  f.name = out.desc.output_name;
+  if (f.name.empty()) {
+    f.name = std::string(AggFnName(out.desc.fn)) + "(" +
+             (out.desc.column >= 0
+                  ? input.schema().field(static_cast<size_t>(out.desc.column))
+                        .name
+                  : "*") +
+             ")";
+  }
+  f.type = out.desc.fn == AggFn::kAvg
+               ? DataType::kFloat64
+               : plan.slots()[static_cast<size_t>(out.slot)].acc_type;
+  return f;
+}
+
+// Calls f(T{}, value) for an aggregate result column: T is its storage
+// type and value(accs) its value for the group whose accumulators start at
+// `accs` (AVG finalized as SUM / COUNT).
+template <typename F>
+void WithAggregate(const GroupByPlan& plan, const OutputAgg& out, F&& f) {
+  const auto s = static_cast<size_t>(out.slot);
+  const DataType acc_type = plan.slots()[s].acc_type;
+  if (out.desc.fn == AggFn::kAvg) {
+    const auto n = static_cast<size_t>(out.count_slot);
+    auto avg = [n](double sum, const AccValue* a) {
+      const int64_t count = a[n].i64;
+      return count == 0 ? 0.0 : sum / static_cast<double>(count);
+    };
+    switch (acc_type) {
+      case DataType::kFloat64:
+        return f(double{}, [=](const AccValue* a) { return avg(a[s].f64, a); });
+      case DataType::kDecimal128:
+        return f(double{}, [=](const AccValue* a) {
+          return avg(a[s].dec.ToDouble(), a);
+        });
+      default:
+        return f(double{}, [=](const AccValue* a) {
+          return avg(static_cast<double>(a[s].i64), a);
+        });
+    }
+  }
+  switch (acc_type) {
+    case DataType::kFloat64:
+      return f(double{}, [s](const AccValue* a) { return a[s].f64; });
+    case DataType::kDecimal128:
+      return f(Decimal128{}, [s](const AccValue* a) { return a[s].dec; });
+    case DataType::kInt32:
+    case DataType::kDate:
+      return f(int32_t{}, [s](const AccValue* a) {
+        return static_cast<int32_t>(a[s].i64);
+      });
+    default:
+      return f(int64_t{}, [s](const AccValue* a) { return a[s].i64; });
+  }
+}
+
+// A run of one piece's groups and where it lands in the result.
+struct Segment {
+  const FlatGroups* piece = nullptr;
+  size_t begin = 0;  // first group of the piece
+  size_t end = 0;
+  size_t out = 0;  // its result row
+};
+
+// Segments of at most this many groups, so a result of one large piece
+// still spreads over the pool.
+constexpr size_t kSegmentGroups = 16384;
+
+}  // namespace
+
+Result<std::shared_ptr<Table>> MaterializeGroups(
+    const GroupByPlan& plan, const GroupPieces& groups, ThreadPool* pool,
+    const std::vector<uint32_t>* positions, const std::vector<int>& columns) {
+  const size_t num_keys = plan.spec().key_columns.size();
+  const size_t num_result_columns = num_keys + plan.outputs().size();
+  std::vector<size_t> picked;
+  if (columns.empty()) {
+    for (size_t c = 0; c < num_result_columns; ++c) picked.push_back(c);
+  }
+  for (const int c : columns) {
+    if (c < 0 || static_cast<size_t>(c) >= num_result_columns) {
+      return Status::InvalidArgument("bad group result column " +
+                                     std::to_string(c));
+    }
+    picked.push_back(static_cast<size_t>(c));
+  }
+  Schema schema;
+  for (const size_t c : picked) schema.AddField(ResultField(plan, c));
+  auto result = std::make_shared<Table>(std::move(schema));
+  const size_t num_slots = plan.slots().size();
+
+  // The rows to gather: every group, a piece segment at a time, or the
+  // groups at `positions`, each resolved once to its representative row
+  // and its accumulators.
+  std::vector<Segment> segments;
+  std::vector<uint32_t> rep_rows;
+  std::vector<const AccValue*> accs;
+  uint64_t num_rows = 0;
+  if (positions == nullptr) {
+    for (const FlatGroups& piece : groups) {
+      for (size_t begin = 0; begin < piece.num_groups();
+           begin += kSegmentGroups) {
+        const size_t end = std::min<size_t>(piece.num_groups(),
+                                            begin + kSegmentGroups);
+        segments.push_back({&piece, begin, end, num_rows});
+        num_rows += end - begin;
+      }
+    }
+  } else {
+    std::vector<uint64_t> starts;  // first group position of each piece
+    uint64_t start = 0;
+    for (const FlatGroups& piece : groups) {
+      starts.push_back(start);
+      start += piece.num_groups();
+    }
+    num_rows = positions->size();
+    rep_rows.reserve(num_rows);
+    accs.reserve(num_rows);
+    for (const uint32_t p : *positions) {
+      const auto at = static_cast<size_t>(
+          std::upper_bound(starts.begin(), starts.end(), uint64_t{p}) -
+          starts.begin() - 1);
+      const uint64_t g = p - starts[at];
+      rep_rows.push_back(groups[at].rep_rows[g]);
+      accs.push_back(groups[at].accs.data() + g * num_slots);
+    }
+  }
+
+  // The tasks: each key column whole (typed gathers of the representative
+  // rows), and each aggregate column a segment or a chunk of the positions
+  // at a time, into its preallocated values.
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < picked.size(); ++i) {
+    Column* dst = &result->column(i);
+    const size_t c = picked[i];
+    if (c < num_keys) {
+      const Column* src = &plan.table().column(
+          static_cast<size_t>(plan.spec().key_columns[c]));
+      dst->Reserve(num_rows);
+      tasks.push_back([&, src, dst] {
+        if (positions != nullptr) {
+          dst->AppendRows(*src, rep_rows.data(), rep_rows.size());
+          return;
+        }
+        for (const FlatGroups& piece : groups) {
+          dst->AppendRows(*src, piece.rep_rows.data(), piece.rep_rows.size());
+        }
+      });
+      continue;
+    }
+    WithAggregate(plan, plan.outputs()[c - num_keys], [&](auto tag,
+                                                          auto value) {
+      using T = decltype(tag);
+      T* data = dst->AppendValues<T>(num_rows);
+      if (positions != nullptr) {
+        for (size_t begin = 0; begin < num_rows; begin += kSegmentGroups) {
+          const size_t end = std::min<size_t>(num_rows, begin + kSegmentGroups);
+          tasks.push_back([&accs, begin, end, data, value] {
+            for (size_t r = begin; r < end; ++r) data[r] = value(accs[r]);
+          });
+        }
+        return;
+      }
+      for (const Segment& seg : segments) {
+        tasks.push_back([seg, data, value, num_slots] {
+          const AccValue* piece_accs = seg.piece->accs.data();
+          for (size_t g = seg.begin; g < seg.end; ++g) {
+            data[seg.out + g - seg.begin] = value(piece_accs + g * num_slots);
+          }
+        });
+      }
+    });
+  }
+  auto run = [&](uint64_t t) { tasks[t](); };
+  if (pool != nullptr && num_rows >= kParallelMaterializeGroups) {
+    pool->ParallelFor(tasks.size(), run);
+  } else {
+    for (size_t t = 0; t < tasks.size(); ++t) run(t);
+  }
+  BLUSIM_RETURN_NOT_OK(result->Validate());
+  return result;
+}
+
+Result<GroupByOutput> MaterializeOutput(const GroupByPlan& plan,
+                                        const GroupPieces& groups,
+                                        ThreadPool* pool) {
+  GroupByOutput out;
+  out.num_groups = NumGroups(groups);
+  BLUSIM_ASSIGN_OR_RETURN(out.table, MaterializeGroups(plan, groups, pool));
+  return out;
 }
 
 }  // namespace blusim::runtime

@@ -65,25 +65,34 @@ uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
 std::vector<std::vector<uint32_t>> PartitionRows(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, uint32_t hash_partitions,
-    uint32_t num_partitions) {
+    uint32_t num_partitions, std::vector<std::vector<uint64_t>>* hashes) {
   const uint64_t total_rows =
       selection != nullptr ? selection->size() : plan.table().num_rows();
   const uint64_t num_morsels = NumMorsels(total_rows, kSweepMorselRows);
-  std::vector<std::vector<std::vector<uint32_t>>> morsel_buckets(num_morsels);
+  const bool keep_hashes = hashes != nullptr;
+  // Per morsel: each partition's rows and (kept) key hashes.
+  struct Buckets {
+    std::vector<std::vector<uint32_t>> rows;
+    std::vector<std::vector<uint64_t>> hashes;
+  };
+  std::vector<Buckets> morsel_buckets(num_morsels);
   auto sweep_morsel = [&](uint64_t m) {
     const MorselRange r = GetMorsel(total_rows, kSweepMorselRows, m);
-    std::vector<std::vector<uint32_t>> buckets(num_partitions);
+    Buckets buckets;
+    buckets.rows.resize(num_partitions);
+    if (keep_hashes) buckets.hashes.resize(num_partitions);
     ForEachHashBlock(
         plan, RowsOf(selection), r,
-        [&](uint64_t begin, const uint64_t* hashes, uint64_t n) {
+        [&](uint64_t begin, const uint64_t* block_hashes, uint64_t n) {
           for (uint64_t j = 0; j < n; ++j) {
             const uint64_t i = begin + j;
             const uint32_t row = selection != nullptr
                                      ? (*selection)[i]
                                      : static_cast<uint32_t>(i);
-            buckets[HashPartition(hashes[j] * hash_partitions,
-                                  num_partitions)]
-                .push_back(row);
+            const uint32_t p = HashPartition(
+                block_hashes[j] * hash_partitions, num_partitions);
+            buckets.rows[p].push_back(row);
+            if (keep_hashes) buckets.hashes[p].push_back(block_hashes[j]);
           }
         });
     morsel_buckets[m] = std::move(buckets);
@@ -93,16 +102,25 @@ std::vector<std::vector<uint32_t>> PartitionRows(
   } else {
     for (uint64_t m = 0; m < num_morsels; ++m) sweep_morsel(m);
   }
-  std::vector<std::vector<uint32_t>> partitions(num_partitions);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    uint64_t n = 0;
-    for (const auto& buckets : morsel_buckets) n += buckets[p].size();
-    partitions[p].reserve(n);
-    for (const auto& buckets : morsel_buckets) {
-      partitions[p].insert(partitions[p].end(), buckets[p].begin(),
-                           buckets[p].end());
+  // Concatenates each partition's per-morsel lists in morsel order.
+  auto concat = [&](auto member, auto* out) {
+    out->resize(num_partitions);
+    for (uint32_t p = 0; p < num_partitions; ++p) {
+      uint64_t n = 0;
+      for (const Buckets& buckets : morsel_buckets) {
+        n += (buckets.*member)[p].size();
+      }
+      auto& list = (*out)[p];
+      list.reserve(n);
+      for (const Buckets& buckets : morsel_buckets) {
+        list.insert(list.end(), (buckets.*member)[p].begin(),
+                    (buckets.*member)[p].end());
+      }
     }
-  }
+  };
+  std::vector<std::vector<uint32_t>> partitions;
+  concat(&Buckets::rows, &partitions);
+  if (keep_hashes) concat(&Buckets::hashes, hashes);
   return partitions;
 }
 

@@ -30,11 +30,14 @@ uint64_t CountDistinctKeys(const GroupByPlan& plan, ThreadPool* pool,
 // so every list keeps its rows in selection order and the result does not
 // depend on thread timing. `selection` nullptr = all rows; a selection that
 // is one HashPartition range of `hash_partitions` splits by the bits below
-// the ones its keys share.
+// the ones its keys share. With `hashes`, each list's key hashes are
+// scattered alongside it, (*hashes)[p][i] being the hash of row
+// partitions[p][i], so the partition's chain need not hash again.
 std::vector<std::vector<uint32_t>> PartitionRows(
     const GroupByPlan& plan, ThreadPool* pool,
     const std::vector<uint32_t>* selection, uint32_t hash_partitions,
-    uint32_t num_partitions);
+    uint32_t num_partitions,
+    std::vector<std::vector<uint64_t>>* hashes = nullptr);
 
 }  // namespace blusim::runtime
 

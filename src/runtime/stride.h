@@ -51,8 +51,12 @@ struct Stride {
   std::vector<uint64_t> packed_keys;
   std::vector<WideKey> wide_keys;
 
-  // HASH output.
+  // HASH output, or the key hashes an upstream sweep already computed for
+  // these rows (`hashes_given`), which the HASH evaluator then keeps.
   std::vector<uint64_t> hashes;
+  bool hashes_given = false;
+  // Keys the HASH evaluator hashed for this stride.
+  uint64_t keys_hashed = 0;
 
   // LCOV output: one PayloadVector per plan slot (COUNT slots are empty).
   std::vector<PayloadVector> payloads;

@@ -9,6 +9,9 @@ namespace {
 
 constexpr uint32_t kRadixBits = 8;
 constexpr uint32_t kBuckets = 1u << kRadixBits;
+// Bits per SelectHead digit: one pass usually narrows a few hundred
+// thousand candidates to the few around the k-th.
+constexpr int kSelectDigitBits = 16;
 
 }  // namespace
 
@@ -111,6 +114,79 @@ void CpuRadixSorter::SortRange(uint32_t* perm, uint32_t n, int level,
       std::sort(perm + rb, perm + re);
     }
   }
+}
+
+std::vector<uint32_t> SelectHead(const SortDataStore& sds, uint32_t k) {
+  const uint32_t n = sds.num_rows();
+  uint64_t longest = 0;
+  for (uint32_t r = 0; r < n; ++r) {
+    longest = std::max(longest, sds.KeyBytes(r));
+  }
+  std::vector<uint32_t> head;
+  head.reserve(k);
+  std::vector<uint32_t> candidates(n);
+  for (uint32_t r = 0; r < n; ++r) candidates[r] = r;
+  std::vector<uint32_t> next;
+  std::vector<uint64_t> windows;
+  std::vector<uint32_t> counts(uint32_t{1} << kSelectDigitBits);
+  uint64_t need = k;
+  // Leading key bits every candidate is known to share.
+  uint64_t bit = 0;
+  while (need > 0) {
+    if (candidates.size() == need) {
+      head.insert(head.end(), candidates.begin(), candidates.end());
+      break;
+    }
+    if (bit >= longest * 8) {
+      // The candidates' keys are fully equal: the lowest row ids rank first.
+      std::nth_element(candidates.begin(), candidates.begin() + need - 1,
+                       candidates.end());
+      head.insert(head.end(), candidates.begin(), candidates.begin() + need);
+      break;
+    }
+    // The candidates' next key bits, from `bit` on, left-aligned in a
+    // window of `valid` bits (zero past a key's end).
+    const auto offset = static_cast<int>(bit % 8);
+    const int valid = 64 - offset;
+    windows.resize(candidates.size());
+    uint64_t lo = ~uint64_t{0};
+    uint64_t hi = 0;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const uint64_t w = sds.KeyWord(candidates[i], bit / 8) << offset;
+      windows[i] = w;
+      lo = std::min(lo, w);
+      hi = std::max(hi, w);
+    }
+    if (lo == hi) {
+      bit += static_cast<uint64_t>(valid);
+      continue;
+    }
+    // Skip the bits all candidates share; the digit is the next bits.
+    const int shared = __builtin_clzll(lo ^ hi);
+    const int width = std::min(kSelectDigitBits, valid - shared);
+    const int shift = 64 - shared - width;
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    std::fill(counts.begin(), counts.end(), 0);
+    for (const uint64_t w : windows) ++counts[(w >> shift) & mask];
+    // The digit of the need-th candidate.
+    uint64_t digit = 0;
+    uint64_t below = 0;
+    while (below + counts[digit] < need) below += counts[digit++];
+    next.clear();
+    next.reserve(counts[digit]);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const uint64_t d = (windows[i] >> shift) & mask;
+      if (d < digit) {
+        head.push_back(candidates[i]);
+      } else if (d == digit) {
+        next.push_back(candidates[i]);
+      }
+    }
+    need -= below;
+    candidates.swap(next);
+    bit += static_cast<uint64_t>(shared + width);
+  }
+  return head;
 }
 
 }  // namespace blusim::sort

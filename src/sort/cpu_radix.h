@@ -53,6 +53,15 @@ class CpuRadixSorter {
   std::vector<PkEntry> a_, b_;
 };
 
+// The `k` rows (k < sds.num_rows()) that rank first in the order the sorts
+// produce -- the zero-padded encoded key, then the row id -- in no
+// particular order: an MSD radix select. Each pass skips the key bits the
+// remaining candidates share, takes every candidate whose next 16-bit
+// digit is below the k-th candidate's, and narrows to those holding the
+// same digit. Sorting its result yields the first k ranks of the full
+// sort, ties included.
+std::vector<uint32_t> SelectHead(const SortDataStore& sds, uint32_t k);
+
 }  // namespace blusim::sort
 
 #endif  // BLUSIM_SORT_CPU_RADIX_H_

@@ -525,10 +525,26 @@ void WorkerLoop(SortRun* run, int worker) {
 
 Result<std::vector<uint32_t>> HybridSorter::Sort(
     const columnar::Table& table, std::vector<SortKey> keys,
-    const HybridSortOptions& options, HybridSortStats* stats) {
+    const HybridSortOptions& options, HybridSortStats* stats,
+    uint64_t limit) {
   BLUSIM_ASSIGN_OR_RETURN(SortDataStore sds,
                           SortDataStore::Make(table, std::move(keys)));
   const uint32_t n = sds.num_rows();
+  if (limit > 0 && limit < n) {
+    // Select the head, then sort only it (CPU path).
+    const auto k = static_cast<uint32_t>(limit);
+    std::vector<uint32_t> head = SelectHead(sds, k);
+    CpuRadixSorter(&sds).Sort(head.data(), k, /*level=*/0);
+    if (stats != nullptr) {
+      const gpusim::CostModel cost{gpusim::HostSpec{}, gpusim::DeviceSpec{}};
+      *stats = HybridSortStats{};
+      stats->jobs_total = 1;
+      stats->jobs_cpu = 1;
+      stats->keygen_time = cost.HostKeyGenTime(n, 1);
+      stats->cpu_sort_time = cost.HostRadixSortTime(k, 1);
+    }
+    return head;
+  }
   std::vector<uint32_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
   if (n > 1) {

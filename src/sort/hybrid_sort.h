@@ -88,12 +88,19 @@ struct HybridSortStats {
 //
 // Returns the sorted permutation: output[i] = input row id of rank i.
 // Ties on the full encoded key break by ascending row id (deterministic).
+//
+// `limit` is the query's LIMIT (0 = none): the caller keeps only the first
+// `limit` ranks. Below the row count, the CPU selects those rows
+// (SelectHead) and sorts only them, so the permutation holds `limit`
+// entries, equal to the first `limit` of the full sort, ties included;
+// no job reaches a device. The full sort is the limit >= rows case.
 class HybridSorter {
  public:
   static Result<std::vector<uint32_t>> Sort(const columnar::Table& table,
                                             std::vector<SortKey> keys,
                                             const HybridSortOptions& options,
-                                            HybridSortStats* stats);
+                                            HybridSortStats* stats,
+                                            uint64_t limit = 0);
 };
 
 }  // namespace blusim::sort

@@ -143,6 +143,123 @@ void KeyEncoder::EncodeRow(uint32_t row, std::vector<uint8_t>* out) const {
   }
 }
 
+namespace {
+
+// Big-endian stores into an encoded key.
+void StoreU32(uint32_t v, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(v >> 24);
+  out[1] = static_cast<uint8_t>(v >> 16);
+  out[2] = static_cast<uint8_t>(v >> 8);
+  out[3] = static_cast<uint8_t>(v);
+}
+
+void StoreU64(uint64_t v, uint8_t* out) {
+  StoreU32(static_cast<uint32_t>(v >> 32), out);
+  StoreU32(static_cast<uint32_t>(v), out + 4);
+}
+
+}  // namespace
+
+void KeyEncoder::EncodeAll(std::vector<uint8_t>* blob,
+                           std::vector<uint64_t>* offsets) const {
+  const size_t n = table_->num_rows();
+  const auto fixed = static_cast<uint64_t>(fixed_bytes_);
+  offsets->clear();
+  // Each row's write position, advanced column by column: r * fixed plus
+  // the columns written so far, or -- with strings -- a position per row
+  // from the rows' prefix-summed lengths.
+  std::vector<uint64_t> pos;
+  uint64_t total = n * fixed;
+  if (has_strings_) {
+    offsets->assign(n + 1, fixed);
+    for (const SortKey& k : keys_) {
+      const Column& col = table_->column(static_cast<size_t>(k.column));
+      if (col.type() != DataType::kString) continue;
+      const std::vector<std::string>& data = col.string_data();
+      for (size_t r = 0; r < n; ++r) (*offsets)[r] += data[r].size() + 1;
+    }
+    total = 0;
+    for (size_t r = 0; r <= n; ++r) {
+      const uint64_t len = r < n ? (*offsets)[r] : 0;
+      (*offsets)[r] = total;
+      total += len;
+    }
+    pos.assign(offsets->begin(), offsets->end() - 1);
+  }
+  blob->resize(total);
+  uint8_t* base = blob->data();
+  uint64_t column_offset = 0;
+  auto at = [&](size_t r) {
+    return base + (has_strings_ ? pos[r] : r * fixed + column_offset);
+  };
+  auto advance = [&](size_t r, uint64_t width) {
+    if (has_strings_) pos[r] += width;
+  };
+  for (const SortKey& k : keys_) {
+    const Column& col = table_->column(static_cast<size_t>(k.column));
+    // Descending keys invert every encoded byte.
+    const uint64_t invert = k.ascending ? 0 : ~uint64_t{0};
+    switch (col.type()) {
+      case DataType::kInt32:
+      case DataType::kDate: {
+        const std::vector<int32_t>& data = col.int32_data();
+        for (size_t r = 0; r < n; ++r) {
+          StoreU32(static_cast<uint32_t>(data[r]) ^ 0x80000000U ^
+                       static_cast<uint32_t>(invert),
+                   at(r));
+          advance(r, 4);
+        }
+        break;
+      }
+      case DataType::kInt64: {
+        const std::vector<int64_t>& data = col.int64_data();
+        for (size_t r = 0; r < n; ++r) {
+          StoreU64(static_cast<uint64_t>(data[r]) ^ 0x8000000000000000ULL ^
+                       invert,
+                   at(r));
+          advance(r, 8);
+        }
+        break;
+      }
+      case DataType::kFloat64: {
+        const std::vector<double>& data = col.float64_data();
+        for (size_t r = 0; r < n; ++r) {
+          StoreU64(EncodeDoubleBits(data[r]) ^ invert, at(r));
+          advance(r, 8);
+        }
+        break;
+      }
+      case DataType::kDecimal128: {
+        const std::vector<Decimal128>& data = col.decimal_data();
+        for (size_t r = 0; r < n; ++r) {
+          uint8_t* out = at(r);
+          StoreU64(static_cast<uint64_t>(data[r].hi) ^ 0x8000000000000000ULL ^
+                       invert,
+                   out);
+          StoreU64(data[r].lo ^ invert, out + 8);
+          advance(r, 16);
+        }
+        break;
+      }
+      case DataType::kString: {
+        const std::vector<std::string>& data = col.string_data();
+        const auto mask = static_cast<uint8_t>(invert);
+        for (size_t r = 0; r < n; ++r) {
+          const std::string& v = data[r];
+          uint8_t* out = at(r);
+          for (size_t i = 0; i < v.size(); ++i) {
+            out[i] = static_cast<uint8_t>(v[i]) ^ mask;
+          }
+          out[v.size()] = mask;  // terminator keeps the encoding prefix-free
+          advance(r, v.size() + 1);
+        }
+        break;
+      }
+    }
+    column_offset += static_cast<uint64_t>(FixedEncodedBytes(col.type()));
+  }
+}
+
 uint32_t KeyEncoder::PartialKey(uint32_t row, int level) const {
   // Fast path for fixed-width keys: compute the 4 bytes directly without
   // materializing the whole stream.

@@ -37,6 +37,10 @@ class KeyEncoder {
   // the table (computed at Make time).
   int levels() const { return levels_; }
 
+  // Encoded bytes of every row's key when no key is a string; the
+  // fixed-width part of it otherwise.
+  int fixed_bytes() const { return fixed_bytes_; }
+
   // The 4-byte partial key of `row` at depth `level` (zero-padded past the
   // end of the encoded stream).
   uint32_t PartialKey(uint32_t row, int level) const;
@@ -49,9 +53,17 @@ class KeyEncoder {
   // the same duplicate range at full depth).
   bool RowEqual(uint32_t a, uint32_t b) const;
 
-  // Appends the encoded bytes of row `row` to `out`. Exposed so the Sort
-  // Data Store can cache every row's encoded key once up front.
+  // Appends the encoded bytes of row `row` to `out`: the one-row oracle of
+  // EncodeAll.
   void EncodeRow(uint32_t row, std::vector<uint8_t>* out) const;
+
+  // Encodes every row's key, row after row, into `blob` -- a column at a
+  // time, one type switch per key column. With string keys, row r's bytes
+  // are [offsets[r], offsets[r + 1]) (num_rows + 1 offsets); without, every
+  // row takes fixed_bytes() and `offsets` is left empty. The Sort Data
+  // Store caches every row's encoded key this way once up front.
+  void EncodeAll(std::vector<uint8_t>* blob,
+                 std::vector<uint64_t>* offsets) const;
 
   // Default-constructed encoders are inert placeholders; only Make()
   // produces a usable one.

@@ -10,18 +10,14 @@ Result<SortDataStore> SortDataStore::Make(const columnar::Table& table,
   BLUSIM_ASSIGN_OR_RETURN(sds.encoder_,
                           KeyEncoder::Make(table, std::move(keys)));
   sds.num_rows_ = static_cast<uint32_t>(table.num_rows());
-  sds.offsets_.reserve(sds.num_rows_ + 1);
-  sds.offsets_.push_back(0);
-  for (uint32_t row = 0; row < sds.num_rows_; ++row) {
-    sds.encoder_.EncodeRow(row, &sds.blob_);
-    sds.offsets_.push_back(sds.blob_.size());
-  }
+  sds.encoder_.EncodeAll(&sds.blob_, &sds.offsets_);
+  sds.row_bytes_ = static_cast<uint64_t>(sds.encoder_.fixed_bytes());
   return sds;
 }
 
 bool SortDataStore::RowLess(uint32_t a, uint32_t b) const {
-  const uint64_t abegin = offsets_[a], aend = offsets_[a + 1];
-  const uint64_t bbegin = offsets_[b], bend = offsets_[b + 1];
+  const uint64_t abegin = Begin(a), aend = End(a);
+  const uint64_t bbegin = Begin(b), bend = End(b);
   const uint64_t alen = aend - abegin, blen = bend - bbegin;
   const int cmp = std::memcmp(blob_.data() + abegin, blob_.data() + bbegin,
                               static_cast<size_t>(std::min(alen, blen)));
@@ -31,8 +27,8 @@ bool SortDataStore::RowLess(uint32_t a, uint32_t b) const {
 }
 
 bool SortDataStore::RowEqual(uint32_t a, uint32_t b) const {
-  const uint64_t abegin = offsets_[a], aend = offsets_[a + 1];
-  const uint64_t bbegin = offsets_[b], bend = offsets_[b + 1];
+  const uint64_t abegin = Begin(a), aend = End(a);
+  const uint64_t bbegin = Begin(b), bend = End(b);
   if (aend - abegin != bend - bbegin) return false;
   return std::memcmp(blob_.data() + abegin, blob_.data() + bbegin,
                      static_cast<size_t>(aend - abegin)) == 0;

@@ -273,7 +273,9 @@ TEST_F(AdversarialHashTest, DriverFanOutsKeepProbesBounded) {
                                              &pinned_, &pool_, &selection,
                                              fanout, opts, &stats);
       ASSERT_TRUE(out.ok()) << out.status().ToString();
-      EXPECT_EQ(DriverGroups(*out->table), expected);
+      auto table = runtime::MaterializeGroups(plan.value(), *out);
+      ASSERT_TRUE(table.ok());
+      EXPECT_EQ(DriverGroups(**table), expected);
       if (fanout == Fanout::kHashPartitioned) {
         EXPECT_GT(stats.num_partitions, 1u);
       }

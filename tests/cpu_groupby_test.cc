@@ -215,7 +215,7 @@ TEST(CpuGroupByTest, HashPartitionRangeEstimatesAndShardsBelowItsBits) {
   EXPECT_EQ(stats.strategy, CpuGroupByStrategy::kPartition);
   EXPECT_GT(stats.partitions, 1u);
   EXPECT_EQ(stats.nonempty_partitions, stats.partitions);
-  EXPECT_EQ(stats.partial_groups, out->num_groups());
+  EXPECT_EQ(stats.partial_groups, NumGroups(*out));
 }
 
 // Near-unique keys take the partition-first strategy: a narrow (packed

@@ -235,7 +235,7 @@ TEST(MaterializeTest, DefaultColumnNamesAndAvg) {
   groups.accs[0].f64 = 9.0;  // AVG sum
   groups.accs[1].i64 = 3;    // AVG count
   groups.accs[2].i64 = 3;    // COUNT(*)
-  auto result = MaterializeGroupsFlat(plan.value(), groups);
+  auto result = MaterializeGroups(plan.value(), {groups});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)->schema().field(1).name, "AVG(d)");
   EXPECT_EQ((*result)->schema().field(2).name, "COUNT(*)");

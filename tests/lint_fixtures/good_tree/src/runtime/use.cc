@@ -12,7 +12,8 @@ struct Registry {
 };
 
 // A comment mentioning std::mutex must not trip the primitive check, nor
-// one naming plan.PackKey(row) the per-row check, nor one naming a
+// one naming plan.PackKey(row), dst.AppendFrom(src, row) or
+// AccumulateRow(slot, pv, i, acc) the per-row check, nor one naming a
 // KmvSketch the estimate check.
 void Register(Registry* r) {
   r->GetCounter("blusim_fixture_ops_total");

@@ -87,9 +87,11 @@ class PartitionedDifferentialTest : public ::testing::Test {
                         PartitionedStats* stats,
                         Fanout fanout = Fanout::kHashPartitioned,
                         bool deferred = false) {
-    auto part = PartitionedGroupBy::Execute(
+    auto pieces = PartitionedGroupBy::Execute(
         plan, &scheduler_, &pinned_, &pool_, deferred ? nullptr : &selection,
         fanout, options, stats);
+    ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
+    auto part = runtime::MaterializeOutput(plan, *pieces);
     ASSERT_TRUE(part.ok()) << part.status().ToString();
     auto cpu = runtime::CpuGroupBy::Execute(plan, /*pool=*/nullptr,
                                             &selection);
@@ -211,10 +213,11 @@ TEST_F(PartitionedDifferentialTest, WideMultiColumnKeys) {
   PartitionedOptions options;
   options.cpu_split_fraction = 0.5;
   PartitionedStats stats;
-  auto part = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
-                                          &pool_, &selection,
-                                          Fanout::kHashPartitioned, options,
-                                          &stats);
+  auto pieces = PartitionedGroupBy::Execute(
+      plan.value(), &scheduler_, &pinned_, &pool_, &selection,
+      Fanout::kHashPartitioned, options, &stats);
+  ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
+  auto part = runtime::MaterializeOutput(plan.value(), *pieces);
   ASSERT_TRUE(part.ok()) << part.status().ToString();
   auto cpu =
       runtime::CpuGroupBy::Execute(plan.value(), /*pool=*/nullptr, &selection);
@@ -297,8 +300,10 @@ TEST_F(PartitionedDifferentialTest, EmptySelection) {
                                          &pool_, &empty,
                                          Fanout::kHashPartitioned, {}, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->num_groups, 0u);
-  EXPECT_EQ(out->table->num_rows(), 0u);
+  EXPECT_EQ(runtime::NumGroups(*out), 0u);
+  auto table = runtime::MaterializeGroups(plan.value(), *out);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ((*table)->num_rows(), 0u);
 }
 
 TEST_F(PartitionedDifferentialTest, ChunksCarryOwningQueryTaskTag) {

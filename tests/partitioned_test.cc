@@ -75,10 +75,11 @@ TEST_F(PartitionedTest, MatchesCpuChainAcrossChunks) {
   // lane and the multi-device sharding assertion below is deterministic.
   PartitionedOptions popts;
   popts.cpu_split_fraction = 0.0;
-  auto out = PartitionedGroupBy::Execute(plan.value(), &scheduler_, &pinned_,
-                                         &pool_, &selection,
-                                         Fanout::kHashPartitioned, popts,
-                                         &stats);
+  auto pieces = PartitionedGroupBy::Execute(
+      plan.value(), &scheduler_, &pinned_, &pool_, &selection,
+      Fanout::kHashPartitioned, popts, &stats);
+  ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
+  auto out = runtime::MaterializeOutput(plan.value(), *pieces);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_GE(stats.chunks.size(), 2u) << "input should not fit one chunk";
   EXPECT_GT(stats.merge_time, 0);
